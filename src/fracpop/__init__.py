@@ -2,17 +2,17 @@
 
 The package reduces a small catalog of population models (logistic, harvested
 logistic, Allee, harvested Allee, raw cubic) to the single right-hand side
-a*x**3 + b*x**2 + c*x, integrates the resulting Caputo-type initial value
-problem with fractional Euler and Adams predictor-corrector schemes, checks
-the computable existence/uniqueness bound, and classifies equilibria through
-the sign of the linearized eigenvalue.
+a*x**3 + b*x**2 + c*x (a ``Cubic``), integrates the resulting Caputo-type
+initial value problem with ``solve``, one product-integration loop that runs
+the fractional Euler or the Adams predictor-corrector scheme, checks the
+computable existence/uniqueness bound, and classifies equilibria through the
+sign of the linearized eigenvalue.
 """
 
 from .models import (
     Allee,
     AlleeHarvest,
     Cubic,
-    CubicCoefficients,
     ExistenceBound,
     FractionalIVP,
     Logistic,
@@ -29,9 +29,8 @@ from .solver import (
     Grid,
     SolverMethod,
     Trajectory,
+    convergence_study,
     estimate_order,
-    frac_adams_pece,
-    frac_euler,
     solve,
 )
 from .specfun import gamma, mittag_leffler
@@ -55,7 +54,6 @@ __all__ = [
     "BlowUpError",
     "Classification",
     "Cubic",
-    "CubicCoefficients",
     "DegenerateModelError",
     "EquilibriumReport",
     "ExistenceBound",
@@ -68,12 +66,11 @@ __all__ = [
     "Trajectory",
     "classify",
     "classify_all",
+    "convergence_study",
     "default_h_state",
     "equilibria",
     "estimate_order",
     "existence_bound",
-    "frac_adams_pece",
-    "frac_euler",
     "gamma",
     "harvest_threshold",
     "logistic_harvest_equilibrium",

@@ -16,10 +16,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
-
-import numpy as np
 
 from .models import (
     Allee,
@@ -33,28 +31,23 @@ from .models import (
     existence_bound,
     to_cubic,
 )
-from .solver import (
-    BlowUpError,
-    SolverMethod,
-    Trajectory,
-    _convergence_data,
-    solve,
-)
+from .solver import BlowUpError, SolverMethod, Trajectory, convergence_study, solve
 from .stability import classify_all
 
 __all__ = ["main", "build_parser"]
 
 _MAX_DEFAULT_STEPS = 50000
 
-_REQUIRED_PARAMS = {
-    "cubic": ("a", "b", "c"),
-    "logistic": ("r", "K"),
-    "logistic-harvest": ("r", "K", "E"),
-    "allee": ("r", "K", "m"),
-    "allee-harvest": ("r", "K", "m", "E"),
+# Each model's flags are the fields of its dataclass, in declaration order.
+_MODELS = {
+    "cubic": Cubic,
+    "logistic": Logistic,
+    "logistic-harvest": LogisticHarvest,
+    "allee": Allee,
+    "allee-harvest": AlleeHarvest,
 }
 _ALL_PARAMS = ("a", "b", "c", "r", "K", "m", "E")
-_HARVEST_KINDS = ("logistic-harvest", "allee-harvest")
+_METHODS = [method.value for method in SolverMethod]
 
 
 class _CliFailure(Exception):
@@ -76,7 +69,7 @@ def _float_list(text: str) -> tuple[float, ...]:
 
 def _add_model_flags(parser: argparse.ArgumentParser, sweep_effort: bool) -> None:
     parser.add_argument(
-        "--model", required=True, choices=sorted(_REQUIRED_PARAMS), help="model kind"
+        "--model", required=True, choices=sorted(_MODELS), help="model kind"
     )
     parser.add_argument("--a", type=float, help="cubic coefficient a")
     parser.add_argument("--b", type=float, help="cubic coefficient b")
@@ -119,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sim.add_argument(
         "--method",
-        choices=["euler", "adams"],
+        choices=_METHODS,
         default="adams",
         help="integration scheme (default adams)",
     )
@@ -148,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     conv.add_argument("--x0", type=float, required=True, help="initial value")
     conv.add_argument("--t-final", type=float, required=True, help="end time > 0")
     conv.add_argument(
-        "--method", choices=["euler", "adams"], default="adams", help="integration scheme"
+        "--method", choices=_METHODS, default="adams", help="integration scheme"
     )
     conv.add_argument("--base-steps", type=int, default=32, help="coarsest grid size")
     conv.add_argument(
@@ -157,8 +150,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _required_params(kind: str) -> list[str]:
+    return [field.name for field in fields(_MODELS[kind])]
+
+
 def _build_model(kind: str, params: dict[str, float]) -> ModelSpec:
-    required = _REQUIRED_PARAMS[kind]
+    required = _required_params(kind)
     missing = [name for name in required if params.get(name) is None]
     extra = [
         name
@@ -169,16 +166,7 @@ def _build_model(kind: str, params: dict[str, float]) -> ModelSpec:
         raise ValueError(f"model {kind!r} needs --{' --'.join(missing)}")
     if extra:
         raise ValueError(f"model {kind!r} does not take --{' --'.join(extra)}")
-    values = {name: params[name] for name in required}
-    if kind == "cubic":
-        return Cubic(values["a"], values["b"], values["c"])
-    if kind == "logistic":
-        return Logistic(values["r"], values["K"])
-    if kind == "logistic-harvest":
-        return LogisticHarvest(values["r"], values["K"], values["E"])
-    if kind == "allee":
-        return Allee(values["r"], values["K"], values["m"])
-    return AlleeHarvest(values["r"], values["K"], values["m"], values["E"])
+    return _MODELS[kind](**{name: params[name] for name in required})
 
 
 def _model_params(args: argparse.Namespace) -> dict[str, float]:
@@ -191,46 +179,46 @@ def _default_steps(t_final: float) -> int:
 
 @dataclass
 class RunConfig:
-    """Validated inputs of one ``simulate`` invocation."""
+    """Validated inputs of one ``simulate`` invocation: one IVP per CSV file."""
 
     kind: str
-    params: dict[str, float]
-    efforts: tuple[float, ...] | None
-    alphas: tuple[float, ...]
-    x0s: tuple[float, ...]
-    t_final: float
+    ivps: list[FractionalIVP]
     n_steps: int
     method: SolverMethod
     out_dir: Path
 
 
 def _simulate_config(args: argparse.Namespace) -> RunConfig:
+    """Build every member of the sweep, so a bad value fails before any write."""
     params = _model_params(args)
-    efforts: tuple[float, ...] | None = None
-    if args.model in _HARVEST_KINDS:
-        if params["E"] is None:
-            raise ValueError(f"model {args.model!r} needs --E")
-        efforts = params["E"]
-        params = dict(params, E=efforts[0])  # placeholder for flag validation
-    elif params["E"] is not None:
+    # --E is a sweep here; report it alone before the other flags.
+    takes_effort = "E" in _required_params(args.model)
+    if takes_effort and params["E"] is None:
+        raise ValueError(f"model {args.model!r} needs --E")
+    if not takes_effort and params["E"] is not None:
         raise ValueError(f"model {args.model!r} does not take --E")
-    _build_model(args.model, params)  # validate flag set and parameter ranges
+    models = [
+        _build_model(args.model, dict(params, E=effort))
+        for effort in params["E"] or (None,)
+    ]
     n_steps = args.n_steps if args.n_steps is not None else _default_steps(args.t_final)
+    ivps = [
+        FractionalIVP(alpha=alpha, model=model, x0=x0, t_final=args.t_final)
+        for model in models
+        for alpha in args.alpha
+        for x0 in args.x0
+    ]
     return RunConfig(
         kind=args.model,
-        params=params,
-        efforts=efforts,
-        alphas=args.alpha,
-        x0s=args.x0,
-        t_final=args.t_final,
+        ivps=ivps,
         n_steps=n_steps,
         method=SolverMethod(args.method),
         out_dir=Path(args.out),
     )
 
 
-def _csv_name(cfg: RunConfig, alpha: float, x0: float, effort: float | None) -> str:
-    parts = [cfg.kind, f"alpha{alpha:g}", f"x0{x0:g}"]
+def _csv_name(kind: str, ivp: FractionalIVP, effort: float | None) -> str:
+    parts = [kind, f"alpha{ivp.alpha:g}", f"x0{ivp.x0:g}"]
     if effort is not None:
         parts.append(f"E{effort:g}")
     return "_".join(parts) + ".csv"
@@ -246,24 +234,19 @@ def _write_csv(path: Path, trajectory: Trajectory) -> None:
 def cmd_simulate(cfg: RunConfig) -> list[Path]:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
-    efforts: tuple[float | None, ...] = cfg.efforts if cfg.efforts is not None else (None,)
-    for effort in efforts:
-        params = dict(cfg.params, E=effort) if effort is not None else cfg.params
-        model = _build_model(cfg.kind, params)
-        for alpha in cfg.alphas:
-            for x0 in cfg.x0s:
-                ivp = FractionalIVP(alpha=alpha, model=model, x0=x0, t_final=cfg.t_final)
-                try:
-                    trajectory = solve(ivp, cfg.n_steps, cfg.method)
-                except BlowUpError as exc:
-                    detail = f"alpha={alpha:g}, x0={x0:g}"
-                    if effort is not None:
-                        detail += f", E={effort:g}"
-                    raise _CliFailure(3, f"simulate failed ({detail}): {exc}") from exc
-                path = cfg.out_dir / _csv_name(cfg, alpha, x0, effort)
-                _write_csv(path, trajectory)
-                written.append(path)
-                print(f"wrote {path}")
+    for ivp in cfg.ivps:
+        effort = getattr(ivp.model, "E", None)
+        try:
+            trajectory = solve(ivp, cfg.n_steps, cfg.method)
+        except BlowUpError as exc:
+            detail = f"alpha={ivp.alpha:g}, x0={ivp.x0:g}"
+            if effort is not None:
+                detail += f", E={effort:g}"
+            raise _CliFailure(3, f"simulate failed ({detail}): {exc}") from exc
+        path = cfg.out_dir / _csv_name(cfg.kind, ivp, effort)
+        _write_csv(path, trajectory)
+        written.append(path)
+        print(f"wrote {path}")
     return written
 
 
@@ -300,12 +283,11 @@ def cmd_convergence(args: argparse.Namespace) -> None:
     model = _build_model(args.model, _model_params(args))
     ivp = FractionalIVP(alpha=args.alpha, model=model, x0=args.x0, t_final=args.t_final)
     method = SolverMethod(args.method)
-    ns, hs, errors = _convergence_data(ivp, method, args.base_steps, args.refinements)
+    ns, hs, errors, order = convergence_study(ivp, method, args.base_steps, args.refinements)
     print(f"model = {args.model}, alpha = {args.alpha:g}, method = {args.method}")
     for n, h, err in zip(ns, hs, errors):
         print(f"n = {n:<8d} h = {h:<12.6g} error = {err:.6g}")
-    slope = float(np.polyfit(np.log(hs), np.log(np.maximum(errors, 1e-300)), 1)[0])
-    print(f"order = {slope:.4g}")
+    print(f"order = {order:.4g}")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -5,7 +5,8 @@ Every supported population model is a cubic polynomial in disguise:
     dx/dt (fractional order alpha) = a*x**3 + b*x**2 + c*x
 
 The named models carry their ecological parameters; ``to_cubic`` maps each of
-them onto the (a, b, c) triple the solvers and the stability analysis consume.
+them onto the ``Cubic`` (a, b, c) the solvers and the stability analysis
+consume.
 ``existence_bound`` evaluates the computable sufficient condition for a unique
 solution on a state ball of half-width h around the origin.
 """
@@ -17,7 +18,6 @@ from dataclasses import dataclass
 from typing import Union
 
 __all__ = [
-    "CubicCoefficients",
     "Cubic",
     "Logistic",
     "LogisticHarvest",
@@ -41,21 +41,12 @@ def _require_finite(name: str, value: float) -> float:
 
 
 @dataclass(frozen=True)
-class CubicCoefficients:
-    """Coefficients of the reduced growth law a*x**3 + b*x**2 + c*x."""
-
-    a: float
-    b: float
-    c: float
-
-    def __post_init__(self) -> None:
-        for name in ("a", "b", "c"):
-            object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
-
-
-@dataclass(frozen=True)
 class Cubic:
-    """Raw cubic growth law with no ecological interpretation attached."""
+    """Cubic growth law a*x**3 + b*x**2 + c*x.
+
+    A raw model with no ecological interpretation attached, and the reduced
+    form every named model maps onto.
+    """
 
     a: float
     b: float
@@ -191,20 +182,23 @@ class ExistenceBound:
     n_min: float
 
 
-def to_cubic(model: ModelSpec) -> CubicCoefficients:
-    """Reduce a model to the coefficients of a*x**3 + b*x**2 + c*x."""
+def to_cubic(model: ModelSpec) -> Cubic:
+    """Reduce a model to the coefficients of a*x**3 + b*x**2 + c*x.
+
+    A ``Cubic`` is already reduced and is returned as it is.
+    """
     if isinstance(model, Cubic):
-        return CubicCoefficients(model.a, model.b, model.c)
+        return model
     if isinstance(model, Logistic):
-        return CubicCoefficients(0.0, -model.r / model.K, model.r)
+        return Cubic(0.0, -model.r / model.K, model.r)
     if isinstance(model, LogisticHarvest):
-        return CubicCoefficients(0.0, -model.r / model.K, model.r - model.E)
+        return Cubic(0.0, -model.r / model.K, model.r - model.E)
     if isinstance(model, Allee):
-        return CubicCoefficients(
+        return Cubic(
             -model.r / model.K, (model.m / model.K + 1.0) * model.r, -model.r * model.m
         )
     if isinstance(model, AlleeHarvest):
-        return CubicCoefficients(
+        return Cubic(
             -model.r / model.K,
             (model.m / model.K + 1.0) * model.r,
             -model.r * model.m - model.E,
@@ -212,13 +206,13 @@ def to_cubic(model: ModelSpec) -> CubicCoefficients:
     raise TypeError(f"unsupported model {model!r}")
 
 
-def rhs_eval(coeffs: CubicCoefficients, x: float) -> float:
+def rhs_eval(coeffs: Cubic, x: float) -> float:
     """Evaluate a*x**3 + b*x**2 + c*x in Horner form."""
     return ((coeffs.a * x + coeffs.b) * x + coeffs.c) * x
 
 
 def existence_bound(
-    coeffs: CubicCoefficients, h_state: float, alpha: float
+    coeffs: Cubic, h_state: float, alpha: float
 ) -> ExistenceBound:
     """Uniqueness bound on the ball |x| <= h_state.
 

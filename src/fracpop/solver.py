@@ -1,11 +1,12 @@
 """Time integration of the fractional cubic initial value problem.
 
-Two product-integration schemes for D^alpha x = f(x) with f cubic:
+One product-integration loop, ``solve``, runs both schemes for
+D^alpha x = f(x) with f cubic, selected by ``SolverMethod``:
 
-* ``frac_euler``: fractional forward Euler, the rectangle rule applied to the
+* ``FRAC_EULER``: fractional forward Euler, the rectangle rule applied to the
   equivalent Volterra integral equation.
-* ``frac_adams_pece``: predictor-corrector of PECE type, rectangle-rule
-  predictor followed by one trapezoid-rule correction.
+* ``FRAC_ADAMS_PECE``: predictor-corrector of PECE type, the same
+  rectangle-rule predictor followed by one trapezoid-rule correction.
 
 Both schemes keep the full convolution history (cost O(n_steps**2)).  At
 alpha = 1 the quadrature weights collapse to the classical composite
@@ -22,13 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .models import (
-    Cubic,
-    CubicCoefficients,
-    FractionalIVP,
-    rhs_eval,
-    to_cubic,
-)
+from .models import FractionalIVP, rhs_eval, to_cubic
 from .specfun import gamma, mittag_leffler
 
 __all__ = [
@@ -37,9 +32,8 @@ __all__ = [
     "SolverMethod",
     "Grid",
     "Trajectory",
-    "frac_euler",
-    "frac_adams_pece",
     "solve",
+    "convergence_study",
     "estimate_order",
 ]
 
@@ -104,49 +98,30 @@ def _checked(value: float, step_index: int, h: float) -> float:
     return value
 
 
-def frac_euler(ivp: FractionalIVP, n_steps: int) -> Trajectory:
-    """Fractional forward Euler (product rectangle rule).
+def solve(ivp: FractionalIVP, n_steps: int, method: SolverMethod) -> Trajectory:
+    """Integrate ``ivp`` on ``n_steps`` uniform steps with the chosen scheme.
 
-    u_{n+1} = u_0 + h**alpha / Gamma(alpha + 1)
-              * sum_{j<=n} ((n+1-j)**alpha - (n-j)**alpha) * f(u_j)
-    """
-    grid = Grid(n_steps, ivp.t_final)
-    coeffs = to_cubic(ivp.model)
-    alpha = ivp.alpha
-    h = grid.h
-    n = grid.n_steps
+    Both schemes share the rectangle-rule predictor (prefactor
+    h**alpha / Gamma(alpha + 1))
 
-    # db[m] = (m+1)**alpha - m**alpha; the predictor weight for lag m.
-    ka = np.arange(n + 1, dtype=float) ** alpha
-    db = np.diff(ka)
-    pref = h**alpha / gamma(alpha + 1.0)
+        u_{n+1} = u_0 + h**alpha / Gamma(alpha + 1)
+                  * sum_{j<=n} ((n+1-j)**alpha - (n-j)**alpha) * f(u_j)
 
-    u = np.empty(n + 1)
-    u[0] = ivp.x0
-    # frev[n - j] holds f(u_j) so history dot products read forward slices.
-    frev = np.empty(n + 1)
-    frev[n] = rhs_eval(coeffs, ivp.x0)
-    for step in range(n):
-        hist = float(np.dot(db[: step + 1], frev[n - step :]))
-        value = _checked(ivp.x0 + pref * hist, step + 1, h)
-        u[step + 1] = value
-        frev[n - (step + 1)] = rhs_eval(coeffs, value)
-    return Trajectory(grid=grid, values=u)
-
-
-def frac_adams_pece(ivp: FractionalIVP, n_steps: int) -> Trajectory:
-    """Fractional Adams predictor-corrector (PECE), one corrector pass.
-
-    Rectangle-rule predictor as in ``frac_euler``, then the trapezoid-rule
-    corrector with weights (prefactor h**alpha / Gamma(alpha + 2))
+    which is the whole fractional Euler step.  PECE follows it with one
+    trapezoid-rule correction with weights (prefactor
+    h**alpha / Gamma(alpha + 2))
 
         a_{0,n+1}   = n**(alpha+1) - (n - alpha) * (n+1)**alpha
         a_{j,n+1}   = (n-j+2)**(alpha+1) + (n-j)**(alpha+1)
                       - 2*(n-j+1)**(alpha+1),     1 <= j <= n
         a_{n+1,n+1} = 1
 
-    applied to f at the corrected history plus the predicted endpoint.
+    applied to f at the corrected history plus the predicted endpoint.  Only
+    the accepted state is checked for blow-up.
     """
+    if not isinstance(method, SolverMethod):
+        raise ValueError(f"unknown solver method {method!r}")
+    corrected = method is SolverMethod.FRAC_ADAMS_PECE
     grid = Grid(n_steps, ivp.t_final)
     coeffs = to_cubic(ivp.model)
     alpha = ivp.alpha
@@ -155,42 +130,37 @@ def frac_adams_pece(ivp: FractionalIVP, n_steps: int) -> Trajectory:
 
     k = np.arange(n + 2, dtype=float)
     ka = k**alpha
-    ka1 = k ** (alpha + 1.0)
+    # db[m] = (m+1)**alpha - m**alpha; the predictor weight for lag m.
     db = np.diff(ka)
-    # c2[m] = (m+2)**(alpha+1) + m**(alpha+1) - 2*(m+1)**(alpha+1): corrector
-    # weight for lag m = n - j of an interior node.
-    c2 = ka1[2:] + ka1[:-2] - 2.0 * ka1[1:-1]
     pref_p = h**alpha / gamma(alpha + 1.0)
-    pref_c = h**alpha / gamma(alpha + 2.0)
+    if corrected:
+        ka1 = k ** (alpha + 1.0)
+        # c2[m] = (m+2)**(alpha+1) + m**(alpha+1) - 2*(m+1)**(alpha+1):
+        # corrector weight for lag m = n - j of an interior node.
+        c2 = ka1[2:] + ka1[:-2] - 2.0 * ka1[1:-1]
+        pref_c = h**alpha / gamma(alpha + 2.0)
 
     u = np.empty(n + 1)
     u[0] = ivp.x0
     f0 = rhs_eval(coeffs, ivp.x0)
+    # frev[n - j] holds f(u_j) so history dot products read forward slices.
     frev = np.empty(n + 1)
     frev[n] = f0
     for step in range(n):
         hist_p = float(np.dot(db[: step + 1], frev[n - step :]))
-        predicted = ivp.x0 + pref_p * hist_p
-        f_pred = rhs_eval(coeffs, predicted)
-
-        a0 = ka1[step] - (step - alpha) * ka[step + 1]
-        hist_c = a0 * f0
-        if step >= 1:
-            # Interior nodes j = 1..step enter with weight c2[step - j].
-            hist_c += float(np.dot(c2[:step], frev[n - step : n]))
-        value = _checked(ivp.x0 + pref_c * (hist_c + f_pred), step + 1, h)
+        value = ivp.x0 + pref_p * hist_p
+        if corrected:
+            f_pred = rhs_eval(coeffs, value)
+            a0 = ka1[step] - (step - alpha) * ka[step + 1]
+            hist_c = a0 * f0
+            if step >= 1:
+                # Interior nodes j = 1..step enter with weight c2[step - j].
+                hist_c += float(np.dot(c2[:step], frev[n - step : n]))
+            value = ivp.x0 + pref_c * (hist_c + f_pred)
+        value = _checked(value, step + 1, h)
         u[step + 1] = value
         frev[n - (step + 1)] = rhs_eval(coeffs, value)
     return Trajectory(grid=grid, values=u)
-
-
-def solve(ivp: FractionalIVP, n_steps: int, method: SolverMethod) -> Trajectory:
-    """Dispatch to the requested scheme."""
-    if method is SolverMethod.FRAC_EULER:
-        return frac_euler(ivp, n_steps)
-    if method is SolverMethod.FRAC_ADAMS_PECE:
-        return frac_adams_pece(ivp, n_steps)
-    raise ValueError(f"unknown solver method {method!r}")
 
 
 def _reference_solution(ivp: FractionalIVP) -> Callable[[float], float]:
@@ -224,13 +194,17 @@ def _reference_solution(ivp: FractionalIVP) -> Callable[[float], float]:
     )
 
 
-def _convergence_data(
+def convergence_study(
     ivp: FractionalIVP,
     method: SolverMethod,
     base_steps: int,
     refinements: int,
-) -> tuple[list[int], list[float], list[float]]:
-    """Errors at t_final against the closed-form reference on dyadic grids."""
+) -> tuple[list[int], list[float], list[float], float]:
+    """Errors at t_final against the closed-form reference on dyadic grids.
+
+    Returns the step counts, step sizes, errors and the empirical order: the
+    least-squares slope of log err vs log h.
+    """
     if base_steps < 1:
         raise ValueError(f"base_steps must be >= 1, got {base_steps!r}")
     if refinements < 2:
@@ -240,7 +214,9 @@ def _convergence_data(
     ns = [base_steps * 2**k for k in range(refinements + 1)]
     hs = [ivp.t_final / n for n in ns]
     errors = [abs(solve(ivp, n, method).values[-1] - exact) for n in ns]
-    return ns, hs, errors
+    floored = np.maximum(errors, 1e-300)
+    order = float(np.polyfit(np.log(hs), np.log(floored), 1)[0])
+    return ns, hs, errors, order
 
 
 def estimate_order(
@@ -249,8 +225,5 @@ def estimate_order(
     base_steps: int,
     refinements: int,
 ) -> float:
-    """Empirical convergence order: least-squares slope of log err vs log h."""
-    _, hs, errors = _convergence_data(ivp, method, base_steps, refinements)
-    floored = np.maximum(errors, 1e-300)
-    slope = np.polyfit(np.log(hs), np.log(floored), 1)[0]
-    return float(slope)
+    """Empirical convergence order, as computed by ``convergence_study``."""
+    return convergence_study(ivp, method, base_steps, refinements)[3]

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .models import CubicCoefficients, rhs_eval
+from .models import Cubic, rhs_eval
 
 __all__ = [
     "Classification",
@@ -49,18 +49,18 @@ class EquilibriumReport:
     multiplicity: int = 1
 
 
-def _eigenvalue(coeffs: CubicCoefficients, x: float) -> float:
+def _eigenvalue(coeffs: Cubic, x: float) -> float:
     """f'(x) = 3a x**2 + 2b x + c in Horner form."""
     return (3.0 * coeffs.a * x + 2.0 * coeffs.b) * x + coeffs.c
 
 
-def _eigenvalue_tol(coeffs: CubicCoefficients, x: float) -> float:
+def _eigenvalue_tol(coeffs: Cubic, x: float) -> float:
     return 1e-12 * (
         1.0 + abs(3.0 * coeffs.a * x * x) + abs(2.0 * coeffs.b * x) + abs(coeffs.c)
     )
 
 
-def equilibria(coeffs: CubicCoefficients) -> list[EquilibriumReport]:
+def equilibria(coeffs: Cubic) -> list[EquilibriumReport]:
     """All real roots of a*x**3 + b*x**2 + c*x = 0, without stability tags.
 
     x = 0 is always a root.  The quadratic factor is solved in the
@@ -106,7 +106,7 @@ def equilibria(coeffs: CubicCoefficients) -> list[EquilibriumReport]:
 
 
 def classify(
-    coeffs: CubicCoefficients, x_eq: float, alpha: float
+    coeffs: Cubic, x_eq: float, alpha: float
 ) -> EquilibriumReport:
     """Stability tag of one equilibrium from the sign of lambda = f'(x_eq).
 
@@ -147,7 +147,7 @@ def classify(
     return EquilibriumReport(x_eq=x, lam=lam, classification=tag, multiplicity=mult)
 
 
-def classify_all(coeffs: CubicCoefficients, alpha: float) -> list[EquilibriumReport]:
+def classify_all(coeffs: Cubic, alpha: float) -> list[EquilibriumReport]:
     """Classified equilibria in ascending x_eq order."""
     return [classify(coeffs, report.x_eq, alpha) for report in equilibria(coeffs)]
 

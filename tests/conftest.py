@@ -23,10 +23,10 @@ import numpy as np
 from fracpop import (
     Classification,
     Cubic,
-    CubicCoefficients,
     BlowUpError,
     FractionalIVP,
-    frac_adams_pece,
+    SolverMethod,
+    solve,
 )
 
 mp.mp.dps = 60
@@ -68,7 +68,7 @@ def classical_quadratic_linear(b: float, c: float, x0: float, t: float) -> float
 
 
 def simulated_tag(
-    coeffs: CubicCoefficients,
+    coeffs: Cubic,
     x_eq: float,
     lam: float,
     delta: float = 1e-3,
@@ -82,13 +82,12 @@ def simulated_tag(
     problem, so probing at alpha = 1 settles every order.
     """
     horizon = 1.5 * math.log(10.0) / abs(lam)
-    model = Cubic(coeffs.a, coeffs.b, coeffs.c)
     for _ in range(4):
         verdicts = []
         for sign in (1.0, -1.0):
-            ivp = FractionalIVP(1.0, model, x_eq + sign * delta, horizon)
+            ivp = FractionalIVP(1.0, coeffs, x_eq + sign * delta, horizon)
             try:
-                trajectory = frac_adams_pece(ivp, 400)
+                trajectory = solve(ivp, 400, SolverMethod.FRAC_ADAMS_PECE)
             except BlowUpError:
                 verdicts.append("escape")
                 continue

@@ -20,7 +20,6 @@ from fracpop import (
     AlleeHarvest,
     Classification,
     Cubic,
-    CubicCoefficients,
     DegenerateModelError,
     FractionalIVP,
     Logistic,
@@ -30,10 +29,10 @@ from fracpop import (
     equilibria,
     estimate_order,
     existence_bound,
-    frac_adams_pece,
     gamma,
     harvest_threshold,
     mittag_leffler,
+    solve,
     to_cubic,
 )
 
@@ -55,12 +54,12 @@ def test_criterion_1_linear_relaxation_oracle():
     ok = True
     for alpha in (0.3, 0.5, 0.8):
         ivp = FractionalIVP(alpha, Cubic(0.0, 0.0, -1.0), 1.0, 1.0)
-        coarse = frac_adams_pece(ivp, 512).values
+        coarse = solve(ivp, 512, SolverMethod.FRAC_ADAMS_PECE).values
         times = np.linspace(0.0, 1.0, 513)
         exact = np.array([mittag_leffler(alpha, -(float(t) ** alpha)) for t in times])
         coarse_max = float(np.max(np.abs(coarse - exact)))
         # Error decrease under halving, measured at the nodes both grids share.
-        fine = frac_adams_pece(ivp, 1024).values[::2]
+        fine = solve(ivp, 1024, SolverMethod.FRAC_ADAMS_PECE).values[::2]
         fine_max = float(np.max(np.abs(fine - exact)))
         ok = ok and coarse_max <= 5e-3 and fine_max <= coarse_max
         details.append(f"alpha={alpha}: n=512 err {coarse_max:.2e}, halved {fine_max:.2e}")
@@ -70,7 +69,7 @@ def test_criterion_1_linear_relaxation_oracle():
 
 def test_criterion_2_classical_reduction():
     ivp = FractionalIVP(1.0, Logistic(0.5, 10.0), 5.0, 20.0)
-    final = frac_adams_pece(ivp, 4000).values[-1]
+    final = solve(ivp, 4000, SolverMethod.FRAC_ADAMS_PECE).values[-1]
     err = abs(final - classical_logistic(0.5, 10.0, 5.0, 20.0))
     ok = err <= 1e-3
     record_acceptance("2", ok, f"|x(20) - closed form| = {err:.2e} (tol 1e-3)")
@@ -117,16 +116,16 @@ def test_criterion_4_bound_specializations():
 # and of the quadratic-factor roots; tags follow the eigenvalue signs and were
 # cross-validated with the perturb-and-integrate probe.
 SIGN_CASE_CATALOG = [
-    (CubicCoefficients(0.0, -1.0, 1.0), [U, AS]),
-    (CubicCoefficients(0.0, 1.0, -1.0), [AS, U]),
-    (CubicCoefficients(0.0, -1.0, -1.0), [U, AS]),
-    (CubicCoefficients(0.0, 1.0, 1.0), [AS, U]),
-    (CubicCoefficients(-1.0, 0.0, 1.0), [AS, U, AS]),
-    (CubicCoefficients(-1.0, 0.5, 1.0), [AS, U, AS]),
-    (CubicCoefficients(1.0, 0.0, -1.0), [U, AS, U]),
-    (CubicCoefficients(1.0, -0.5, -1.0), [U, AS, U]),
-    (CubicCoefficients(1.0, 0.0, 1.0), [U]),
-    (CubicCoefficients(-1.0, 0.0, -1.0), [AS]),
+    (Cubic(0.0, -1.0, 1.0), [U, AS]),
+    (Cubic(0.0, 1.0, -1.0), [AS, U]),
+    (Cubic(0.0, -1.0, -1.0), [U, AS]),
+    (Cubic(0.0, 1.0, 1.0), [AS, U]),
+    (Cubic(-1.0, 0.0, 1.0), [AS, U, AS]),
+    (Cubic(-1.0, 0.5, 1.0), [AS, U, AS]),
+    (Cubic(1.0, 0.0, -1.0), [U, AS, U]),
+    (Cubic(1.0, -0.5, -1.0), [U, AS, U]),
+    (Cubic(1.0, 0.0, 1.0), [U]),
+    (Cubic(-1.0, 0.0, -1.0), [AS]),
 ]
 
 
@@ -143,7 +142,7 @@ def test_criterion_5_classification_catalog_and_oracle():
         a = 0.0 if rng.random() < 0.3 else float(rng.uniform(-2.0, 2.0))
         b = float(rng.uniform(-2.0, 2.0))
         c = float(rng.uniform(-2.0, 2.0))
-        coeffs = CubicCoefficients(a, b, c)
+        coeffs = Cubic(a, b, c)
         try:
             reports = equilibria(coeffs)
         except DegenerateModelError:
@@ -251,9 +250,10 @@ def test_criterion_7a_harvest_regime_finals():
     finals_heavy = []
     for x0 in X0_SET:
         unharvested = FractionalIVP(0.5, LogisticHarvest(0.5, 10.0, 0.0), x0, 500.0)
-        gaps_none.append(abs(frac_adams_pece(unharvested, 5000).values[-1] - 10.0))
+        final = solve(unharvested, 5000, SolverMethod.FRAC_ADAMS_PECE).values[-1]
+        gaps_none.append(abs(final - 10.0))
         heavy = FractionalIVP(0.5, LogisticHarvest(0.5, 10.0, 0.5), x0, 500.0)
-        finals_heavy.append(frac_adams_pece(heavy, 5000).values[-1])
+        finals_heavy.append(solve(heavy, 5000, SolverMethod.FRAC_ADAMS_PECE).values[-1])
     ok = all(g <= 0.2 for g in gaps_none) and all(f <= 0.05 for f in finals_heavy)
     record_acceptance(
         "7a",
@@ -274,7 +274,7 @@ def test_criterion_7b_smaller_alpha_lags_farther():
         gaps = []
         for alpha in (0.25, 0.5, 0.75, 1.0):
             ivp = FractionalIVP(alpha, LogisticHarvest(0.5, 10.0, 0.2), x0, 50.0)
-            gaps.append(abs(frac_adams_pece(ivp, 1000).values[-1] - 6.0))
+            gaps.append(abs(solve(ivp, 1000, SolverMethod.FRAC_ADAMS_PECE).values[-1] - 6.0))
         ok = ok and all(g1 > g2 for g1, g2 in zip(gaps, gaps[1:]))
         details.append(f"x0={x0:g}: " + ">".join(f"{g:.3f}" for g in gaps))
     record_acceptance("7b", ok, "|x(50) - 6| falls as alpha rises; " + "; ".join(details))
@@ -291,7 +291,7 @@ def test_criterion_7c_overharvest_extinction():
     finals = []
     for x0 in X0_SET:
         ivp = FractionalIVP(0.5, AlleeHarvest(0.5, 10.0, 1.0, 1.5), x0, 25.0)
-        finals.append(frac_adams_pece(ivp, 2000).values[-1])
+        finals.append(solve(ivp, 2000, SolverMethod.FRAC_ADAMS_PECE).values[-1])
     ok = all(f < 0.05 for f in finals)
     record_acceptance(
         "7c",
@@ -309,7 +309,7 @@ def test_criterion_7d_monotone_approach():
     for alpha in (0.25, 0.5, 0.75, 1.0):
         for x0, rising in [(0.1, True), (4.0, True), (8.0, True), (12.0, False)]:
             ivp = FractionalIVP(alpha, Logistic(0.5, 10.0), x0, 500.0)
-            steps = np.diff(frac_adams_pece(ivp, 1250).values)
+            steps = np.diff(solve(ivp, 1250, SolverMethod.FRAC_ADAMS_PECE).values)
             violation = float(np.max(-steps) if rising else np.max(steps))
             worst = max(worst, violation)
             ok = ok and violation <= 1e-9
@@ -350,18 +350,17 @@ def test_criterion_8_special_functions():
 # exercised somewhere in this test suite.
 FEATURE_MAP = {
     "model catalog": ["Cubic", "Logistic", "LogisticHarvest", "Allee", "AlleeHarvest", "ModelSpec"],
-    "cubic reduction": ["to_cubic", "CubicCoefficients"],
+    "cubic reduction": ["to_cubic"],
     "cubic right-hand side": ["rhs_eval"],
     "initial value problem": ["FractionalIVP"],
     "uniqueness bound": ["existence_bound", "ExistenceBound", "default_h_state"],
     "equilibrium case analysis": ["equilibria", "DegenerateModelError"],
     "eigenvalue stability classification": ["classify", "classify_all", "Classification", "EquilibriumReport"],
     "harvest specializations": ["harvest_threshold", "logistic_harvest_equilibrium"],
-    "rectangle-rule integrator": ["frac_euler"],
-    "predictor-corrector integrator": ["frac_adams_pece", "solve", "SolverMethod"],
+    "product-integration solver (rectangle rule, PECE)": ["solve", "SolverMethod"],
     "blow-up detection": ["BlowUpError", "BLOWUP_LIMIT"],
     "grid and trajectory containers": ["Grid", "Trajectory"],
-    "convergence diagnostics": ["estimate_order"],
+    "convergence diagnostics": ["convergence_study", "estimate_order"],
     "special functions": ["gamma", "mittag_leffler"],
 }
 

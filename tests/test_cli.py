@@ -178,6 +178,25 @@ def test_simulate_flag_validation(tmp_path, capsys):
     assert code == 2
 
 
+def test_simulate_validates_whole_sweep_before_writing(tmp_path, capsys):
+    # A bad value late in a sweep must fail before the first CSV is written.
+    sweeps = [
+        (("--model", "logistic-harvest", "--r", "0.5", "--K", "10", "--E", "0.2,-1",
+          "--alpha", "0.5"), "E must be nonnegative, got -1.0"),
+        (("--model", "logistic", "--r", "0.5", "--K", "10", "--alpha", "0.5,1.5"),
+         "alpha must lie in (0, 1], got 1.5"),
+    ]
+    for index, (flags, message) in enumerate(sweeps):
+        out_dir = tmp_path / str(index)
+        code, out, err = run_cli(
+            capsys, "simulate", *flags, "--x0", "4", "--t-final", "5", "--out", str(out_dir)
+        )
+        assert code == 2
+        assert err == f"error: {message}\n"
+        assert out == ""
+        assert list(out_dir.glob("*")) == []
+
+
 def test_simulate_unwritable_output_exit_code(tmp_path, capsys):
     blocker = tmp_path / "not_a_directory"
     blocker.write_text("occupied")

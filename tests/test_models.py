@@ -9,7 +9,6 @@ from fracpop import (
     Allee,
     AlleeHarvest,
     Cubic,
-    CubicCoefficients,
     ExistenceBound,
     FractionalIVP,
     Logistic,
@@ -46,11 +45,13 @@ def test_model_catalog_is_exhaustive():
 
 
 def test_reduction_logistic():
-    assert to_cubic(Logistic(0.5, 10.0)) == CubicCoefficients(0.0, -0.05, 0.5)
+    assert to_cubic(Logistic(0.5, 10.0)) == Cubic(0.0, -0.05, 0.5)
 
 
 def test_reduction_cubic_identity():
-    assert to_cubic(Cubic(1.0, 2.0, 3.0)) == CubicCoefficients(1.0, 2.0, 3.0)
+    assert to_cubic(Cubic(1.0, 2.0, 3.0)) == Cubic(1.0, 2.0, 3.0)
+    model = Cubic(1.0, 2.0, 3.0)
+    assert to_cubic(model) is model
 
 
 def test_reduction_allee_harvest():
@@ -81,9 +82,9 @@ def test_reduction_matches_direct_forms():
 
 
 def test_rhs_eval_vanishes_at_known_roots():
-    assert rhs_eval(CubicCoefficients(0.0, -0.05, 0.5), 10.0) == pytest.approx(0.0, abs=1e-15)
-    assert rhs_eval(CubicCoefficients(3.0, -2.0, 7.0), 0.0) == 0.0
-    assert rhs_eval(CubicCoefficients(-0.05, 0.55, -0.5), 1.0) == pytest.approx(0.0, abs=1e-15)
+    assert rhs_eval(Cubic(0.0, -0.05, 0.5), 10.0) == pytest.approx(0.0, abs=1e-15)
+    assert rhs_eval(Cubic(3.0, -2.0, 7.0), 0.0) == 0.0
+    assert rhs_eval(Cubic(-0.05, 0.55, -0.5), 1.0) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_rhs_eval_matches_monomial_form():
@@ -91,7 +92,7 @@ def test_rhs_eval_matches_monomial_form():
     for _ in range(200):
         a, b, c, x = rng.uniform(-3.0, 3.0, 4)
         want = a * x**3 + b * x**2 + c * x
-        assert abs(rhs_eval(CubicCoefficients(a, b, c), x) - want) <= 1e-13 * (1.0 + abs(want))
+        assert abs(rhs_eval(Cubic(a, b, c), x) - want) <= 1e-13 * (1.0 + abs(want))
 
 
 def test_bound_example_logistic():
@@ -103,7 +104,7 @@ def test_bound_example_logistic():
 
 
 def test_bound_example_pure_linear():
-    report = existence_bound(CubicCoefficients(0.0, 0.0, 1.0), 5.0, 1.0)
+    report = existence_bound(Cubic(0.0, 0.0, 1.0), 5.0, 1.0)
     assert report.rhs_bound == 1.0
     assert report.n_min == 1.0
 
@@ -137,7 +138,7 @@ def test_bound_specializations_randomized():
 def test_bound_nmin_power_identity():
     rng = np.random.default_rng(31)
     for _ in range(100):
-        coeffs = CubicCoefficients(*rng.uniform(-2.0, 2.0, 3))
+        coeffs = Cubic(*rng.uniform(-2.0, 2.0, 3))
         h = float(rng.uniform(0.1, 20.0))
         alpha = float(rng.uniform(0.05, 1.0))
         report = existence_bound(coeffs, h, alpha)
@@ -147,15 +148,15 @@ def test_bound_nmin_power_identity():
 def test_bound_nmin_monotone_in_alpha():
     alphas = np.linspace(0.1, 1.0, 10)
     # rhs_bound > 1: shrinking 1/alpha exponent lowers n_min.
-    large = [existence_bound(CubicCoefficients(0.0, 0.0, 2.0), 1.0, float(a)).n_min for a in alphas]
+    large = [existence_bound(Cubic(0.0, 0.0, 2.0), 1.0, float(a)).n_min for a in alphas]
     assert all(n2 <= n1 for n1, n2 in zip(large, large[1:]))
     # rhs_bound < 1: the same exponent change raises n_min.
-    small = [existence_bound(CubicCoefficients(0.0, 0.0, 0.5), 1.0, float(a)).n_min for a in alphas]
+    small = [existence_bound(Cubic(0.0, 0.0, 0.5), 1.0, float(a)).n_min for a in alphas]
     assert all(n2 >= n1 for n1, n2 in zip(small, small[1:]))
 
 
 def test_bound_domain_errors():
-    coeffs = CubicCoefficients(0.0, 0.0, 1.0)
+    coeffs = Cubic(0.0, 0.0, 1.0)
     for h in (0.0, -1.0, float("nan")):
         with pytest.raises(ValueError):
             existence_bound(coeffs, h, 0.5)

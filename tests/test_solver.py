@@ -19,8 +19,6 @@ from fracpop import (
     SolverMethod,
     Trajectory,
     estimate_order,
-    frac_adams_pece,
-    frac_euler,
     rhs_eval,
     solve,
     to_cubic,
@@ -62,32 +60,32 @@ def test_euler_single_classical_step():
     # One step of x' = -x from 1 with h = 1 lands on 0; the gamma factor in
     # the quadrature prefactor rounds at the last place, so allow one ulp.
     ivp = FractionalIVP(1.0, LINEAR_DECAY, 1.0, 1.0)
-    trajectory = frac_euler(ivp, 1)
+    trajectory = solve(ivp, 1, SolverMethod.FRAC_EULER)
     assert abs(trajectory.values[1]) <= 1e-15
 
 
 def test_constant_when_rhs_vanishes():
     ivp = FractionalIVP(0.5, Cubic(0.0, 0.0, 0.0), 3.0, 2.0)
     for n in (1, 7, 64):
-        assert np.all(frac_euler(ivp, n).values == 3.0)
-        assert np.all(frac_adams_pece(ivp, n).values == 3.0)
+        assert np.all(solve(ivp, n, SolverMethod.FRAC_EULER).values == 3.0)
+        assert np.all(solve(ivp, n, SolverMethod.FRAC_ADAMS_PECE).values == 3.0)
 
 
 def test_euler_linear_relaxation_accuracy():
     ivp = FractionalIVP(0.5, LINEAR_DECAY, 1.0, 1.0)
-    final = frac_euler(ivp, 512).values[-1]
+    final = solve(ivp, 512, SolverMethod.FRAC_EULER).values[-1]
     assert abs(final - ML_HALF_AT_MINUS_ONE) <= 5e-2
 
 
 def test_adams_linear_relaxation_accuracy():
     ivp = FractionalIVP(0.5, LINEAR_DECAY, 1.0, 1.0)
-    final = frac_adams_pece(ivp, 512).values[-1]
+    final = solve(ivp, 512, SolverMethod.FRAC_ADAMS_PECE).values[-1]
     assert abs(final - ML_HALF_AT_MINUS_ONE) <= 5e-3
 
 
 def test_adams_classical_logistic():
     ivp = FractionalIVP(1.0, Logistic(0.5, 10.0), 5.0, 20.0)
-    final = frac_adams_pece(ivp, 4000).values[-1]
+    final = solve(ivp, 4000, SolverMethod.FRAC_ADAMS_PECE).values[-1]
     assert abs(final - classical_logistic(0.5, 10.0, 5.0, 20.0)) <= 1e-3
 
 
@@ -100,7 +98,7 @@ def test_zero_state_is_invariant():
             AlleeHarvest(0.5, 10.0, 1.0, 0.2),
         ):
             ivp = FractionalIVP(alpha, model, 0.0, 5.0)
-            assert np.all(frac_adams_pece(ivp, 50).values == 0.0)
+            assert np.all(solve(ivp, 50, SolverMethod.FRAC_ADAMS_PECE).values == 0.0)
 
 
 def test_equilibrium_fixed_points():
@@ -122,11 +120,61 @@ def test_equilibrium_fixed_points():
 
 
 def test_dispatch_identity():
+    # The method alone selects the scheme: members looked up by value run the
+    # same scheme bit for bit, the two schemes differ, and a non-member is
+    # refused.
     ivp = FractionalIVP(0.7, Logistic(0.5, 10.0), 4.0, 10.0)
-    assert np.array_equal(solve(ivp, 100, SolverMethod.FRAC_EULER).values, frac_euler(ivp, 100).values)
-    assert np.array_equal(
-        solve(ivp, 100, SolverMethod.FRAC_ADAMS_PECE).values, frac_adams_pece(ivp, 100).values
-    )
+    euler = solve(ivp, 100, SolverMethod.FRAC_EULER).values
+    adams = solve(ivp, 100, SolverMethod.FRAC_ADAMS_PECE).values
+    assert np.array_equal(solve(ivp, 100, SolverMethod("euler")).values, euler)
+    assert np.array_equal(solve(ivp, 100, SolverMethod("adams")).values, adams)
+    assert not np.array_equal(euler, adams)
+    with pytest.raises(ValueError):
+        solve(ivp, 100, "adams")
+
+
+def transcribed_scheme(ivp, n, corrected):
+    """The two documented schemes written out term by term.
+
+    Weights come straight from the formulas in the ``solve`` docstring, the
+    prefactors from ``math.gamma``, and every history sum is a Python loop
+    over the nodes j = 0..m, with no reversed buffer or precomputed weight
+    arrays.
+    """
+    coeffs = to_cubic(ivp.model)
+    alpha, x0 = ivp.alpha, ivp.x0
+    h = ivp.t_final / n
+    pref_p = h**alpha / math.gamma(alpha + 1.0)
+    pref_c = h**alpha / math.gamma(alpha + 2.0)
+    u = [x0]
+    f = [rhs_eval(coeffs, x0)]
+    for m in range(n):
+        hist_p = 0.0
+        for j in range(m + 1):
+            hist_p += ((m + 1 - j) ** alpha - (m - j) ** alpha) * f[j]
+        value = x0 + pref_p * hist_p
+        if corrected:
+            hist_c = (m ** (alpha + 1) - (m - alpha) * (m + 1) ** alpha) * f[0]
+            for j in range(1, m + 1):
+                weight = (
+                    (m - j + 2) ** (alpha + 1)
+                    + (m - j) ** (alpha + 1)
+                    - 2.0 * (m - j + 1) ** (alpha + 1)
+                )
+                hist_c += weight * f[j]
+            value = x0 + pref_c * (hist_c + rhs_eval(coeffs, value))
+        u.append(value)
+        f.append(rhs_eval(coeffs, value))
+    return np.array(u)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.75])
+@pytest.mark.parametrize("method", list(SolverMethod))
+def test_solve_matches_transcribed_scheme(alpha, method):
+    ivp = FractionalIVP(alpha, LogisticHarvest(0.5, 10.0, 0.2), 4.0, 20.0)
+    got = solve(ivp, 40, method).values
+    want = transcribed_scheme(ivp, 40, method is SolverMethod.FRAC_ADAMS_PECE)
+    assert np.max(np.abs(got - want) / (1.0 + np.abs(want))) <= 1e-12
 
 
 def test_mapped_model_matches_raw_cubic():
@@ -141,7 +189,7 @@ def test_mapped_model_matches_raw_cubic():
 def test_euler_reduces_to_classical_at_order_one():
     coeffs = to_cubic(Logistic(0.5, 10.0))
     ivp = FractionalIVP(1.0, Logistic(0.5, 10.0), 5.0, 2.0)
-    got = frac_euler(ivp, 50).values
+    got = solve(ivp, 50, SolverMethod.FRAC_EULER).values
     want = classical_euler(coeffs, 5.0, 2.0, 50)
     assert np.max(np.abs(got - want) / (1.0 + np.abs(want))) <= 1e-12
 
@@ -149,7 +197,7 @@ def test_euler_reduces_to_classical_at_order_one():
 def test_adams_reduces_to_trapezoid_pece_at_order_one():
     coeffs = to_cubic(Logistic(0.5, 10.0))
     ivp = FractionalIVP(1.0, Logistic(0.5, 10.0), 5.0, 2.0)
-    got = frac_adams_pece(ivp, 50).values
+    got = solve(ivp, 50, SolverMethod.FRAC_ADAMS_PECE).values
     want = classical_trapezoid_pece(coeffs, 5.0, 2.0, 50)
     assert np.max(np.abs(got - want) / (1.0 + np.abs(want))) <= 1e-12
 
@@ -157,13 +205,13 @@ def test_adams_reduces_to_trapezoid_pece_at_order_one():
 def test_blowup_reports_first_offending_step():
     ivp = FractionalIVP(1.0, Cubic(1.0, 0.0, 1.0), 2.0, 10.0)
     with pytest.raises(BlowUpError) as excinfo:
-        frac_adams_pece(ivp, 100)
+        solve(ivp, 100, SolverMethod.FRAC_ADAMS_PECE)
     err = excinfo.value
     assert err.step_index >= 1
     assert err.time > 0.0
     assert not math.isfinite(err.value) or abs(err.value) > BLOWUP_LIMIT
     with pytest.raises(BlowUpError):
-        frac_euler(ivp, 100)
+        solve(ivp, 100, SolverMethod.FRAC_EULER)
 
 
 def test_grid_shape_and_validation():
@@ -182,7 +230,7 @@ def test_grid_shape_and_validation():
 
 def test_trajectory_initial_value_is_exact():
     ivp = FractionalIVP(0.4, Logistic(0.5, 10.0), 0.1, 5.0)
-    trajectory = frac_adams_pece(ivp, 25)
+    trajectory = solve(ivp, 25, SolverMethod.FRAC_ADAMS_PECE)
     assert isinstance(trajectory, Trajectory)
     assert trajectory.values[0] == 0.1
     assert len(trajectory.values) == 26
@@ -192,7 +240,7 @@ def test_monotone_logistic_trajectories():
     # Interior starts rise toward the capacity, overshoots sink back to it.
     for x0, rising in [(0.1, True), (4.0, True), (8.0, True), (12.0, False)]:
         ivp = FractionalIVP(0.5, Logistic(0.5, 10.0), x0, 500.0)
-        steps = np.diff(frac_adams_pece(ivp, 1500).values)
+        steps = np.diff(solve(ivp, 1500, SolverMethod.FRAC_ADAMS_PECE).values)
         if rising:
             assert np.min(steps) >= -1e-9
         else:
@@ -206,7 +254,7 @@ def test_refinement_cauchy_decrease():
         (FractionalIVP(0.25, LogisticHarvest(0.5, 10.0, 0.2), 12.0, 500.0), (250, 500, 1000)),
     ]
     for ivp, grids in cases:
-        finals = [frac_adams_pece(ivp, n).values[-1] for n in grids]
+        finals = [solve(ivp, n, SolverMethod.FRAC_ADAMS_PECE).values[-1] for n in grids]
         first = abs(finals[1] - finals[0])
         second = abs(finals[2] - finals[1])
         assert second < first
@@ -216,7 +264,7 @@ def test_alpha_continuity_toward_classical():
     finals = {}
     for alpha in (0.9, 0.99, 1.0):
         ivp = FractionalIVP(alpha, LINEAR_DECAY, 1.0, 1.0)
-        finals[alpha] = frac_adams_pece(ivp, 512).values[-1]
+        finals[alpha] = solve(ivp, 512, SolverMethod.FRAC_ADAMS_PECE).values[-1]
     gap_far = finals[0.9] - finals[1.0]
     gap_near = finals[0.99] - finals[1.0]
     assert gap_far * gap_near > 0.0

@@ -7,7 +7,7 @@ from conftest import simulated_tag
 from fracpop import (
     AlleeHarvest,
     Classification,
-    CubicCoefficients,
+    Cubic,
     DegenerateModelError,
     EquilibriumReport,
     LogisticHarvest,
@@ -23,8 +23,8 @@ AS = Classification.ASYMPTOTICALLY_STABLE
 U = Classification.UNSTABLE
 INC = Classification.INCONCLUSIVE
 
-LOGISTIC = CubicCoefficients(0.0, -0.05, 0.5)
-ALLEE = CubicCoefficients(-0.05, 0.55, -0.5)
+LOGISTIC = Cubic(0.0, -0.05, 0.5)
+ALLEE = Cubic(-0.05, 0.55, -0.5)
 
 # Roots of -0.05 x^2 + 0.55 x - 0.7 = 0, i.e. (11 +/- sqrt(65)) / 2.
 HARVESTED_LOW = 1.46887112585072545
@@ -55,22 +55,22 @@ def test_equilibria_allee_roots():
 
 
 def test_equilibria_complex_pair_omitted():
-    got = equilibria(CubicCoefficients(1.0, 0.0, 1.0))
+    got = equilibria(Cubic(1.0, 0.0, 1.0))
     assert len(got) == 1
     assert got[0].x_eq == 0.0
 
 
 def test_equilibria_degenerate_error():
     with pytest.raises(DegenerateModelError):
-        equilibria(CubicCoefficients(0.0, 0.0, 0.0))
+        equilibria(Cubic(0.0, 0.0, 0.0))
 
 
 def test_equilibria_triple_root_at_origin():
-    reports = equilibria(CubicCoefficients(1.0, 0.0, 0.0))
+    reports = equilibria(Cubic(1.0, 0.0, 0.0))
     assert len(reports) == 1
     assert reports[0].x_eq == 0.0
     assert reports[0].multiplicity == 3
-    classified = classify_all(CubicCoefficients(1.0, 0.0, 0.0), 0.5)
+    classified = classify_all(Cubic(1.0, 0.0, 0.0), 0.5)
     assert classified[0].classification is INC
     assert classified[0].multiplicity == 3
 
@@ -96,7 +96,7 @@ def test_classify_logistic_examples():
 
 
 def test_classify_flat_root_is_inconclusive():
-    report = classify(CubicCoefficients(1.0, 0.0, 0.0), 0.0, 0.5)
+    report = classify(Cubic(1.0, 0.0, 0.0), 0.0, 0.5)
     assert report.classification is INC
     assert report.lam == 0.0
 
@@ -116,7 +116,7 @@ def test_tags_do_not_depend_on_alpha():
     rng = np.random.default_rng(37)
     checked = 0
     while checked < 30:
-        coeffs = CubicCoefficients(*rng.uniform(-2.0, 2.0, 3))
+        coeffs = Cubic(*rng.uniform(-2.0, 2.0, 3))
         try:
             reports = equilibria(coeffs)
         except DegenerateModelError:
@@ -130,14 +130,14 @@ def test_tags_do_not_depend_on_alpha():
 
 
 def test_classify_all_two_root_catalog():
-    assert tags_of(CubicCoefficients(0.0, -1.0, 1.0)) == [(0.0, U), (1.0, AS)]
-    assert tags_of(CubicCoefficients(0.0, 1.0, -1.0)) == [(0.0, AS), (1.0, U)]
+    assert tags_of(Cubic(0.0, -1.0, 1.0)) == [(0.0, U), (1.0, AS)]
+    assert tags_of(Cubic(0.0, 1.0, -1.0)) == [(0.0, AS), (1.0, U)]
 
 
 def test_classify_all_negative_leading_coefficient():
     # Downward cubic: both outer roots attract, the origin repels.  The
     # perturb-and-integrate probe must confirm every tag.
-    coeffs = CubicCoefficients(-1.0, 0.0, 1.0)
+    coeffs = Cubic(-1.0, 0.0, 1.0)
     got = tags_of(coeffs)
     assert [(round(x, 12), tag) for x, tag in got] == [(-1.0, AS), (0.0, U), (1.0, AS)]
     for report in classify_all(coeffs, 0.5):
@@ -145,7 +145,7 @@ def test_classify_all_negative_leading_coefficient():
 
 
 def test_classify_all_positive_leading_coefficient():
-    coeffs = CubicCoefficients(1.0, 0.0, -1.0)
+    coeffs = Cubic(1.0, 0.0, -1.0)
     got = tags_of(coeffs)
     assert [(round(x, 12), tag) for x, tag in got] == [(-1.0, U), (0.0, AS), (1.0, U)]
     for report in classify_all(coeffs, 0.5):
@@ -156,14 +156,14 @@ def test_classification_scale_invariance():
     rng = np.random.default_rng(41)
     checked = 0
     while checked < 20:
-        coeffs = CubicCoefficients(*rng.uniform(-2.0, 2.0, 3))
+        coeffs = Cubic(*rng.uniform(-2.0, 2.0, 3))
         try:
             base = tags_of(coeffs)
         except DegenerateModelError:
             continue
         checked += 1
         for gamma_scale in (0.5, 3.7):
-            scaled = CubicCoefficients(
+            scaled = Cubic(
                 gamma_scale * coeffs.a, gamma_scale * coeffs.b, gamma_scale * coeffs.c
             )
             assert [tag for _, tag in tags_of(scaled)] == [tag for _, tag in base]
