@@ -31,7 +31,7 @@ from .models import (
     existence_bound,
     to_cubic,
 )
-from .solver import BlowUpError, SolverMethod, Trajectory, convergence_study, solve
+from .solver import BlowUpError, Grid, SolverMethod, Trajectory, convergence_study, solve
 from .stability import classify_all
 
 __all__ = ["main", "build_parser"]
@@ -150,12 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _required_params(kind: str) -> list[str]:
-    return [field.name for field in fields(_MODELS[kind])]
-
-
 def _build_model(kind: str, params: dict[str, float]) -> ModelSpec:
-    required = _required_params(kind)
+    required = [field.name for field in fields(_MODELS[kind])]
     missing = [name for name in required if params.get(name) is None]
     extra = [
         name
@@ -183,7 +179,7 @@ class RunConfig:
 
     kind: str
     ivps: list[FractionalIVP]
-    n_steps: int
+    grid: Grid
     method: SolverMethod
     out_dir: Path
 
@@ -191,27 +187,22 @@ class RunConfig:
 def _simulate_config(args: argparse.Namespace) -> RunConfig:
     """Build every member of the sweep, so a bad value fails before any write."""
     params = _model_params(args)
-    # --E is a sweep here; report it alone before the other flags.
-    takes_effort = "E" in _required_params(args.model)
-    if takes_effort and params["E"] is None:
-        raise ValueError(f"model {args.model!r} needs --E")
-    if not takes_effort and params["E"] is not None:
-        raise ValueError(f"model {args.model!r} does not take --E")
     models = [
         _build_model(args.model, dict(params, E=effort))
         for effort in params["E"] or (None,)
     ]
-    n_steps = args.n_steps if args.n_steps is not None else _default_steps(args.t_final)
     ivps = [
         FractionalIVP(alpha=alpha, model=model, x0=x0, t_final=args.t_final)
         for model in models
         for alpha in args.alpha
         for x0 in args.x0
     ]
+    # t_final is validated by now, so the default step count can use it.
+    n_steps = args.n_steps if args.n_steps is not None else _default_steps(args.t_final)
     return RunConfig(
         kind=args.model,
         ivps=ivps,
-        n_steps=n_steps,
+        grid=Grid(n_steps, args.t_final),
         method=SolverMethod(args.method),
         out_dir=Path(args.out),
     )
@@ -237,7 +228,7 @@ def cmd_simulate(cfg: RunConfig) -> list[Path]:
     for ivp in cfg.ivps:
         effort = getattr(ivp.model, "E", None)
         try:
-            trajectory = solve(ivp, cfg.n_steps, cfg.method)
+            trajectory = solve(ivp, cfg.grid.n_steps, cfg.method)
         except BlowUpError as exc:
             detail = f"alpha={ivp.alpha:g}, x0={ivp.x0:g}"
             if effort is not None:

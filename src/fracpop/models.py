@@ -14,7 +14,7 @@ solution on a state ball of half-width h around the origin.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Union
 
 __all__ = [
@@ -40,6 +40,30 @@ def _require_finite(name: str, value: float) -> float:
     return value
 
 
+def _validate_fields(obj: object) -> None:
+    """Shared ``__post_init__`` of the model dataclasses and ``FractionalIVP``.
+
+    Field by field, in declaration order, coerce the value to a finite float
+    and then apply the rule its name carries.  K is declared before m, so the
+    Allee threshold is checked against an already validated capacity.  The
+    IVP's ``model`` field is skipped: its own class validated it.
+    """
+    for field in fields(obj):
+        name = field.name
+        if name == "model":
+            continue
+        value = _require_finite(name, getattr(obj, name))
+        if name in ("r", "K", "t_final") and value <= 0.0:
+            raise ValueError(f"{name} must be positive, got {value!r}")
+        if name == "alpha" and not (0.0 < value <= 1.0):
+            raise ValueError(f"alpha must lie in (0, 1], got {value!r}")
+        if name == "m" and not (0.0 < value < obj.K):
+            raise ValueError(f"m must lie strictly inside (0, K), got {value!r}")
+        if name == "E" and value < 0.0:
+            raise ValueError(f"E must be nonnegative, got {value!r}")
+        object.__setattr__(obj, name, value)
+
+
 @dataclass(frozen=True)
 class Cubic:
     """Cubic growth law a*x**3 + b*x**2 + c*x.
@@ -52,9 +76,7 @@ class Cubic:
     b: float
     c: float
 
-    def __post_init__(self) -> None:
-        for name in ("a", "b", "c"):
-            object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
+    __post_init__ = _validate_fields
 
 
 @dataclass(frozen=True)
@@ -64,15 +86,7 @@ class Logistic:
     r: float
     K: float
 
-    def __post_init__(self) -> None:
-        r = _require_finite("r", self.r)
-        K = _require_finite("K", self.K)
-        if r <= 0.0:
-            raise ValueError(f"r must be positive, got {r!r}")
-        if K <= 0.0:
-            raise ValueError(f"K must be positive, got {K!r}")
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "K", K)
+    __post_init__ = _validate_fields
 
 
 @dataclass(frozen=True)
@@ -88,14 +102,7 @@ class LogisticHarvest:
     K: float
     E: float
 
-    def __post_init__(self) -> None:
-        base = Logistic(self.r, self.K)
-        E = _require_finite("E", self.E)
-        if E < 0.0:
-            raise ValueError(f"E must be nonnegative, got {E!r}")
-        object.__setattr__(self, "r", base.r)
-        object.__setattr__(self, "K", base.K)
-        object.__setattr__(self, "E", E)
+    __post_init__ = _validate_fields
 
 
 @dataclass(frozen=True)
@@ -110,14 +117,7 @@ class Allee:
     K: float
     m: float
 
-    def __post_init__(self) -> None:
-        base = Logistic(self.r, self.K)
-        m = _require_finite("m", self.m)
-        if not (0.0 < m < base.K):
-            raise ValueError(f"m must lie strictly inside (0, K), got {m!r}")
-        object.__setattr__(self, "r", base.r)
-        object.__setattr__(self, "K", base.K)
-        object.__setattr__(self, "m", m)
+    __post_init__ = _validate_fields
 
 
 @dataclass(frozen=True)
@@ -129,15 +129,7 @@ class AlleeHarvest:
     m: float
     E: float
 
-    def __post_init__(self) -> None:
-        base = Allee(self.r, self.K, self.m)
-        E = _require_finite("E", self.E)
-        if E < 0.0:
-            raise ValueError(f"E must be nonnegative, got {E!r}")
-        object.__setattr__(self, "r", base.r)
-        object.__setattr__(self, "K", base.K)
-        object.__setattr__(self, "m", base.m)
-        object.__setattr__(self, "E", E)
+    __post_init__ = _validate_fields
 
 
 ModelSpec = Union[Cubic, Logistic, LogisticHarvest, Allee, AlleeHarvest]
@@ -155,17 +147,7 @@ class FractionalIVP:
     x0: float
     t_final: float
 
-    def __post_init__(self) -> None:
-        alpha = _require_finite("alpha", self.alpha)
-        if not (0.0 < alpha <= 1.0):
-            raise ValueError(f"alpha must lie in (0, 1], got {alpha!r}")
-        x0 = _require_finite("x0", self.x0)
-        t_final = _require_finite("t_final", self.t_final)
-        if t_final <= 0.0:
-            raise ValueError(f"t_final must be positive, got {t_final!r}")
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "x0", x0)
-        object.__setattr__(self, "t_final", t_final)
+    __post_init__ = _validate_fields
 
 
 @dataclass(frozen=True)

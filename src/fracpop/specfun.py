@@ -1,9 +1,10 @@
 """Scalar special functions backing the fractional solvers and their oracles.
 
 Both functions are deliberately small and dependency free: the integrators
-need gamma for their quadrature weights, and the one-parameter Mittag-Leffler
-sum is the closed-form solution of the linear fractional relaxation problem,
-which the test oracles and convergence studies lean on.
+need gamma for their quadrature weights, and gamma is ``math.gamma`` behind a
+domain check.  The one-parameter Mittag-Leffler sum is the closed-form
+solution of the linear fractional relaxation problem, which the test oracles
+and convergence studies lean on.
 """
 
 from __future__ import annotations
@@ -12,57 +13,18 @@ import math
 
 __all__ = ["gamma", "mittag_leffler"]
 
-# Lanczos approximation, g = 7 with 9 coefficients.  Relative error on the
-# positive real axis is a few 1e-15, comfortably inside the 1e-12 target.
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
-_LOG_SQRT_TWO_PI = 0.5 * math.log(2.0 * math.pi)
-
-# exp() overflows just above this, so any log-gamma beyond it cannot be
-# represented as a double.
-_MAX_LOG = 709.782712893384
-
 
 def gamma(t: float) -> float:
     """Gamma function on the positive real axis.
 
-    Uses the Lanczos rational approximation
-    Gamma(t) = sqrt(2*pi) * x**(t - 1/2) * exp(-x) * A(t), x = t + g - 1/2.
-    Arguments below 1/2 are lifted once through Gamma(t) = Gamma(t + 1) / t,
-    which keeps the series well inside its sweet spot.
+    A domain check in front of ``math.gamma``: only finite t > 0 is
+    accepted, and arguments past about 171.6, where the value leaves double
+    range, raise OverflowError.
     """
     t = float(t)
     if not (math.isfinite(t) and t > 0.0):
         raise ValueError(f"gamma is defined here for t > 0 only, got {t!r}")
-    if t < 0.5:
-        return gamma(t + 1.0) / t
-
-    z = t - 1.0
-    series = _LANCZOS_COEFFS[0]
-    for i, coeff in enumerate(_LANCZOS_COEFFS[1:], start=1):
-        series += coeff / (z + i)
-    x = z + _LANCZOS_G + 0.5
-
-    # The power term overflows long before log-gamma does, so switch to the
-    # log form for large arguments and fail explicitly past double range.
-    if t < 140.0:
-        return _SQRT_TWO_PI * x ** (z + 0.5) * math.exp(-x) * series
-    log_value = _LOG_SQRT_TWO_PI + (z + 0.5) * math.log(x) - x + math.log(series)
-    if log_value > _MAX_LOG:
-        raise OverflowError(f"gamma({t!r}) exceeds double-precision range")
-    return math.exp(log_value)
+    return math.gamma(t)
 
 
 _ML_MAX_TERMS = 200

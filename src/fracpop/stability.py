@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .models import Cubic, rhs_eval
+from .models import Allee, Cubic, LogisticHarvest, rhs_eval
 
 __all__ = [
     "Classification",
@@ -160,9 +160,8 @@ def harvest_threshold(r: float, K: float, m: float) -> float:
     interior pair collapses to one flat (double) root, which the equilibrium
     finder reports with multiplicity 2 and an inconclusive tag.
     """
-    if r <= 0.0 or K <= 0.0 or not (0.0 < m < K):
-        raise ValueError("need r > 0, K > 0 and 0 < m < K")
-    return r / (4.0 * K) * (K - m) ** 2
+    model = Allee(r, K, m)
+    return model.r / (4.0 * model.K) * (model.K - model.m) ** 2
 
 
 def logistic_harvest_equilibrium(r: float, K: float, E: float) -> float:
@@ -171,8 +170,5 @@ def logistic_harvest_equilibrium(r: float, K: float, E: float) -> float:
     Positive while E < r, zero at E = r, and negative (population collapse,
     the equilibrium leaves the admissible state space) once E > r.
     """
-    if r <= 0.0 or K <= 0.0:
-        raise ValueError("need r > 0 and K > 0")
-    if E < 0.0:
-        raise ValueError("need E >= 0")
-    return K * (1.0 - E / r)
+    model = LogisticHarvest(r, K, E)
+    return model.K * (1.0 - model.E / model.r)

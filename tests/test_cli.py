@@ -1,11 +1,14 @@
 """Command-line behavior: file outputs, reports, exit codes, determinism."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fracpop
 from fracpop.cli import main
 
 X0_SET = "0.1,4,8,12"
@@ -179,22 +182,25 @@ def test_simulate_flag_validation(tmp_path, capsys):
 
 
 def test_simulate_validates_whole_sweep_before_writing(tmp_path, capsys):
-    # A bad value late in a sweep must fail before the first CSV is written.
+    # A bad value anywhere in a sweep must fail before --out is created.
+    logistic = ("--model", "logistic", "--r", "0.5", "--K", "10", "--x0", "4")
     sweeps = [
         (("--model", "logistic-harvest", "--r", "0.5", "--K", "10", "--E", "0.2,-1",
-          "--alpha", "0.5"), "E must be nonnegative, got -1.0"),
-        (("--model", "logistic", "--r", "0.5", "--K", "10", "--alpha", "0.5,1.5"),
+          "--alpha", "0.5", "--x0", "4", "--t-final", "5"),
+         "E must be nonnegative, got -1.0"),
+        (logistic + ("--alpha", "0.5,1.5", "--t-final", "5"),
          "alpha must lie in (0, 1], got 1.5"),
+        (logistic + ("--t-final", "nan"), "t_final must be finite, got nan"),
+        (logistic + ("--t-final", "inf"), "t_final must be finite, got inf"),
+        (logistic + ("--t-final", "1", "--n-steps", "0"), "n_steps must be >= 1, got 0"),
     ]
     for index, (flags, message) in enumerate(sweeps):
         out_dir = tmp_path / str(index)
-        code, out, err = run_cli(
-            capsys, "simulate", *flags, "--x0", "4", "--t-final", "5", "--out", str(out_dir)
-        )
+        code, out, err = run_cli(capsys, "simulate", *flags, "--out", str(out_dir))
         assert code == 2
         assert err == f"error: {message}\n"
         assert out == ""
-        assert list(out_dir.glob("*")) == []
+        assert not out_dir.exists()
 
 
 def test_simulate_unwritable_output_exit_code(tmp_path, capsys):
@@ -350,11 +356,15 @@ def test_regime_sweep_smoke_matrix(tmp_path, capsys):
 
 
 def test_module_entry_point():
+    # The child imports the same fracpop as the suite, installed or not.
+    src = str(Path(fracpop.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "fracpop", "bound", "--model", "cubic", "--a", "0",
          "--b", "0", "--c", "1", "--alpha", "1", "--h-state", "1"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert result.returncode == 0
     assert "n_min = 1" in result.stdout

@@ -57,11 +57,10 @@ def classical_trapezoid_pece(coeffs, x0, t_final, n):
 
 
 def test_euler_single_classical_step():
-    # One step of x' = -x from 1 with h = 1 lands on 0; the gamma factor in
-    # the quadrature prefactor rounds at the last place, so allow one ulp.
+    # One step of x' = -x from 1 with h = 1 lands on 0.
     ivp = FractionalIVP(1.0, LINEAR_DECAY, 1.0, 1.0)
     trajectory = solve(ivp, 1, SolverMethod.FRAC_EULER)
-    assert abs(trajectory.values[1]) <= 1e-15
+    assert trajectory.values[1] == 0.0
 
 
 def test_constant_when_rhs_vanishes():

@@ -1,5 +1,7 @@
 """Equilibrium finding, eigenvalue classification, and the harvest thresholds."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -183,6 +185,10 @@ def test_harvest_threshold_validation():
     for m in (0.0, 10.0, 12.0):
         with pytest.raises(ValueError):
             harvest_threshold(0.5, 10.0, m)
+    for bad in (math.nan, math.inf):
+        for args in ((bad, 10.0, 1.0), (0.5, bad, 1.0), (0.5, 10.0, bad)):
+            with pytest.raises(ValueError):
+                harvest_threshold(*args)
 
 
 def test_harvest_threshold_splits_equilibrium_structure():
@@ -225,3 +231,7 @@ def test_logistic_harvest_equilibrium_validation():
         logistic_harvest_equilibrium(0.0, 10.0, 0.2)
     with pytest.raises(ValueError):
         logistic_harvest_equilibrium(0.5, 10.0, -0.2)
+    for bad in (math.nan, math.inf):
+        for args in ((bad, 10.0, 0.2), (0.5, bad, 0.2), (0.5, 10.0, bad)):
+            with pytest.raises(ValueError):
+                logistic_harvest_equilibrium(*args)
