@@ -9,74 +9,19 @@ computable existence/uniqueness bound, and classifies equilibria through the
 sign of the linearized eigenvalue.
 """
 
-from .models import (
-    Allee,
-    AlleeHarvest,
-    Cubic,
-    ExistenceBound,
-    FractionalIVP,
-    Logistic,
-    LogisticHarvest,
-    ModelSpec,
-    default_h_state,
-    existence_bound,
-    rhs_eval,
-    to_cubic,
-)
-from .solver import (
-    BLOWUP_LIMIT,
-    BlowUpError,
-    Grid,
-    SolverMethod,
-    Trajectory,
-    convergence_study,
-    estimate_order,
-    solve,
-)
-from .specfun import gamma, mittag_leffler
-from .stability import (
-    Classification,
-    DegenerateModelError,
-    EquilibriumReport,
-    classify,
-    classify_all,
-    equilibria,
-    harvest_threshold,
-    logistic_harvest_equilibrium,
-)
+from . import models, solver, specfun, stability
+from .models import *  # noqa: F401,F403
+from .solver import *  # noqa: F401,F403
+from .specfun import *  # noqa: F401,F403
+from .stability import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
+# The public surface is the union of the layer modules' own ``__all__``.
 __all__ = [
-    "Allee",
-    "AlleeHarvest",
-    "BLOWUP_LIMIT",
-    "BlowUpError",
-    "Classification",
-    "Cubic",
-    "DegenerateModelError",
-    "EquilibriumReport",
-    "ExistenceBound",
-    "FractionalIVP",
-    "Grid",
-    "Logistic",
-    "LogisticHarvest",
-    "ModelSpec",
-    "SolverMethod",
-    "Trajectory",
-    "classify",
-    "classify_all",
-    "convergence_study",
-    "default_h_state",
-    "equilibria",
-    "estimate_order",
-    "existence_bound",
-    "gamma",
-    "harvest_threshold",
-    "logistic_harvest_equilibrium",
-    "mittag_leffler",
-    "rhs_eval",
-    "solve",
-    "to_cubic",
+    *models.__all__,
+    *solver.__all__,
+    *specfun.__all__,
+    *stability.__all__,
     "__version__",
 ]

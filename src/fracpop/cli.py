@@ -15,6 +15,7 @@ blow-up, 4 filesystem failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -48,13 +49,6 @@ _MODELS = {
 }
 _ALL_PARAMS = ("a", "b", "c", "r", "K", "m", "E")
 _METHODS = [method.value for method in SolverMethod]
-
-
-class _CliFailure(Exception):
-    def __init__(self, code: int, message: str):
-        self.code = code
-        self.message = message
-        super().__init__(message)
 
 
 def _float_list(text: str) -> tuple[float, ...]:
@@ -117,10 +111,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="integration scheme (default adams)",
     )
     sim.add_argument("--out", default=".", help="output directory for CSV files")
+    sim.set_defaults(run=lambda args: cmd_simulate(_simulate_config(args)))
 
     eq = sub.add_parser("equilibria", help="print equilibria with stability tags")
     _add_model_flags(eq, sweep_effort=False)
     eq.add_argument("--alpha", type=float, required=True, help="fractional order")
+    eq.set_defaults(run=cmd_equilibria)
 
     bnd = sub.add_parser("bound", help="evaluate the uniqueness bound")
     _add_model_flags(bnd, sweep_effort=False)
@@ -134,6 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     bnd.add_argument(
         "--x0", type=float, default=0.0, help="initial value entering the default half-width"
     )
+    bnd.set_defaults(run=cmd_bound)
 
     conv = sub.add_parser("convergence", help="empirical convergence order")
     _add_model_flags(conv, sweep_effort=False)
@@ -147,6 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     conv.add_argument(
         "--refinements", type=int, default=4, help="number of dyadic refinements (>= 2)"
     )
+    conv.set_defaults(run=cmd_convergence)
     return parser
 
 
@@ -175,10 +173,9 @@ def _default_steps(t_final: float) -> int:
 
 @dataclass
 class RunConfig:
-    """Validated inputs of one ``simulate`` invocation: one IVP per CSV file."""
+    """Validated inputs of one ``simulate`` invocation: the IVP of each CSV path."""
 
-    kind: str
-    ivps: list[FractionalIVP]
+    members: dict[Path, FractionalIVP]
     grid: Grid
     method: SolverMethod
     out_dir: Path
@@ -191,25 +188,28 @@ def _simulate_config(args: argparse.Namespace) -> RunConfig:
         _build_model(args.model, dict(params, E=effort))
         for effort in params["E"] or (None,)
     ]
-    ivps = [
-        FractionalIVP(alpha=alpha, model=model, x0=x0, t_final=args.t_final)
-        for model in models
-        for alpha in args.alpha
-        for x0 in args.x0
-    ]
+    out_dir = Path(args.out)
+    members: dict[Path, FractionalIVP] = {}
+    for model, alpha, x0 in itertools.product(models, args.alpha, args.x0):
+        ivp = FractionalIVP(alpha=alpha, model=model, x0=x0, t_final=args.t_final)
+        # File names keep 6 significant digits, so distinct values can collide.
+        path = out_dir / _csv_name(args.model, ivp)
+        if path in members:
+            raise ValueError(f"two sweep members would both write {path.name}")
+        members[path] = ivp
     # t_final is validated by now, so the default step count can use it.
     n_steps = args.n_steps if args.n_steps is not None else _default_steps(args.t_final)
     return RunConfig(
-        kind=args.model,
-        ivps=ivps,
+        members=members,
         grid=Grid(n_steps, args.t_final),
         method=SolverMethod(args.method),
-        out_dir=Path(args.out),
+        out_dir=out_dir,
     )
 
 
-def _csv_name(kind: str, ivp: FractionalIVP, effort: float | None) -> str:
+def _csv_name(kind: str, ivp: FractionalIVP) -> str:
     parts = [kind, f"alpha{ivp.alpha:g}", f"x0{ivp.x0:g}"]
+    effort = getattr(ivp.model, "E", None)
     if effort is not None:
         parts.append(f"E{effort:g}")
     return "_".join(parts) + ".csv"
@@ -222,23 +222,21 @@ def _write_csv(path: Path, trajectory: Trajectory) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
-def cmd_simulate(cfg: RunConfig) -> list[Path]:
+def cmd_simulate(cfg: RunConfig) -> None:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    for ivp in cfg.ivps:
-        effort = getattr(ivp.model, "E", None)
+    for path, ivp in cfg.members.items():
         try:
             trajectory = solve(ivp, cfg.grid.n_steps, cfg.method)
         except BlowUpError as exc:
             detail = f"alpha={ivp.alpha:g}, x0={ivp.x0:g}"
+            effort = getattr(ivp.model, "E", None)
             if effort is not None:
                 detail += f", E={effort:g}"
-            raise _CliFailure(3, f"simulate failed ({detail}): {exc}") from exc
-        path = cfg.out_dir / _csv_name(cfg.kind, ivp, effort)
+            # Name the member; main maps every blow-up to exit 3.
+            exc.args = (f"simulate failed ({detail}): {exc}",)
+            raise
         _write_csv(path, trajectory)
-        written.append(path)
         print(f"wrote {path}")
-    return written
 
 
 def cmd_equilibria(args: argparse.Namespace) -> None:
@@ -288,17 +286,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        if args.command == "simulate":
-            cmd_simulate(_simulate_config(args))
-        elif args.command == "equilibria":
-            cmd_equilibria(args)
-        elif args.command == "bound":
-            cmd_bound(args)
-        else:
-            cmd_convergence(args)
-    except _CliFailure as exc:
-        print(f"error: {exc.message}", file=sys.stderr)
-        return exc.code
+        args.run(args)
     except BlowUpError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -33,34 +33,39 @@ __all__ = [
 ]
 
 
-def _require_finite(name: str, value: float) -> float:
+def _check(name: str, value: float) -> float:
+    """Coerce ``value`` to a finite float and apply the rule its name carries.
+
+    r, K, t_final and h_state must be positive, alpha must lie in (0, 1] and
+    E must be nonnegative; every other name only has to be finite.
+    """
     value = float(value)
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
+    if name in ("r", "K", "t_final", "h_state") and value <= 0.0:
+        raise ValueError(f"{name} must be positive, got {value!r}")
+    if name == "alpha" and not (0.0 < value <= 1.0):
+        raise ValueError(f"alpha must lie in (0, 1], got {value!r}")
+    if name == "E" and value < 0.0:
+        raise ValueError(f"E must be nonnegative, got {value!r}")
     return value
 
 
 def _validate_fields(obj: object) -> None:
     """Shared ``__post_init__`` of the model dataclasses and ``FractionalIVP``.
 
-    Field by field, in declaration order, coerce the value to a finite float
-    and then apply the rule its name carries.  K is declared before m, so the
-    Allee threshold is checked against an already validated capacity.  The
-    IVP's ``model`` field is skipped: its own class validated it.
+    Field by field, in declaration order, ``_check`` the value; the Allee
+    threshold m is then held inside (0, K).  K is declared before m, so m is
+    checked against an already validated capacity.  The IVP's ``model`` field
+    is skipped: its own class validated it.
     """
     for field in fields(obj):
         name = field.name
         if name == "model":
             continue
-        value = _require_finite(name, getattr(obj, name))
-        if name in ("r", "K", "t_final") and value <= 0.0:
-            raise ValueError(f"{name} must be positive, got {value!r}")
-        if name == "alpha" and not (0.0 < value <= 1.0):
-            raise ValueError(f"alpha must lie in (0, 1], got {value!r}")
+        value = _check(name, getattr(obj, name))
         if name == "m" and not (0.0 < value < obj.K):
             raise ValueError(f"m must lie strictly inside (0, K), got {value!r}")
-        if name == "E" and value < 0.0:
-            raise ValueError(f"E must be nonnegative, got {value!r}")
         object.__setattr__(obj, name, value)
 
 
@@ -171,19 +176,16 @@ def to_cubic(model: ModelSpec) -> Cubic:
     """
     if isinstance(model, Cubic):
         return model
-    if isinstance(model, Logistic):
-        return Cubic(0.0, -model.r / model.K, model.r)
-    if isinstance(model, LogisticHarvest):
-        return Cubic(0.0, -model.r / model.K, model.r - model.E)
-    if isinstance(model, Allee):
-        return Cubic(
-            -model.r / model.K, (model.m / model.K + 1.0) * model.r, -model.r * model.m
-        )
-    if isinstance(model, AlleeHarvest):
+    # The harvested laws subtract their effort from c; x - 0.0 == x keeps the
+    # unharvested coefficients exact.
+    effort = getattr(model, "E", 0.0)
+    if isinstance(model, (Logistic, LogisticHarvest)):
+        return Cubic(0.0, -model.r / model.K, model.r - effort)
+    if isinstance(model, (Allee, AlleeHarvest)):
         return Cubic(
             -model.r / model.K,
             (model.m / model.K + 1.0) * model.r,
-            -model.r * model.m - model.E,
+            -model.r * model.m - effort,
         )
     raise TypeError(f"unsupported model {model!r}")
 
@@ -203,12 +205,8 @@ def existence_bound(
     Lipschitz budget that the sufficient condition N**alpha > rhs_bound
     accepts.
     """
-    h = _require_finite("h_state", h_state)
-    if h <= 0.0:
-        raise ValueError(f"h_state must be positive, got {h!r}")
-    alpha = _require_finite("alpha", alpha)
-    if not (0.0 < alpha <= 1.0):
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha!r}")
+    h = _check("h_state", h_state)
+    alpha = _check("alpha", alpha)
     rhs = 3.0 * abs(coeffs.a) * h * h + 2.0 * abs(coeffs.b) * h + abs(coeffs.c)
     return ExistenceBound(h_state=h, rhs_bound=rhs, n_min=rhs ** (1.0 / alpha))
 
@@ -219,7 +217,7 @@ def default_h_state(model: ModelSpec, x0: float = 0.0) -> float:
     A raw Cubic has no capacity scale to lean on, so callers must supply the
     half-width themselves.
     """
-    x0 = _require_finite("x0", x0)
+    x0 = _check("x0", x0)
     if isinstance(model, (Logistic, LogisticHarvest, Allee, AlleeHarvest)):
         return 1.2 * max(abs(x0), model.K)
     raise ValueError("no default state half-width for a raw cubic model; pass one")

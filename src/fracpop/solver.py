@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .models import FractionalIVP, rhs_eval, to_cubic
+from .models import FractionalIVP, _check, rhs_eval, to_cubic
 from .specfun import gamma, mittag_leffler
 
 __all__ = [
@@ -68,12 +68,14 @@ class Grid:
     t_final: float
 
     def __post_init__(self) -> None:
-        if int(self.n_steps) < 1:
-            raise ValueError(f"n_steps must be >= 1, got {self.n_steps!r}")
-        if not (math.isfinite(self.t_final) and self.t_final > 0.0):
-            raise ValueError(f"t_final must be positive, got {self.t_final!r}")
-        object.__setattr__(self, "n_steps", int(self.n_steps))
-        object.__setattr__(self, "t_final", float(self.t_final))
+        n_steps = self.n_steps
+        if n_steps < 1:
+            raise ValueError(f"n_steps must be >= 1, got {n_steps!r}")
+        # A fractional count would otherwise be truncated, not rejected.
+        if not float(n_steps).is_integer():
+            raise ValueError(f"n_steps must be a whole number, got {n_steps!r}")
+        object.__setattr__(self, "n_steps", int(n_steps))
+        object.__setattr__(self, "t_final", _check("t_final", self.t_final))
 
     @property
     def h(self) -> float:
@@ -96,6 +98,18 @@ def _checked(value: float, step_index: int, h: float) -> float:
     if not math.isfinite(value) or abs(value) > BLOWUP_LIMIT:
         raise BlowUpError(step_index, step_index * h, value)
     return value
+
+
+def _aligned(values: np.ndarray) -> np.ndarray:
+    """Copy of ``values`` whose data starts on a 64-byte boundary.
+
+    The history dot products run up to 1.5x slower on weights that are not
+    64-byte aligned; without the copy, heap placement would set their speed.
+    """
+    buf = np.empty(values.size + 8)
+    start = (-buf.ctypes.data % 64) // 8
+    buf[start : start + values.size] = values
+    return buf[start : start + values.size]
 
 
 def solve(ivp: FractionalIVP, n_steps: int, method: SolverMethod) -> Trajectory:
@@ -131,13 +145,13 @@ def solve(ivp: FractionalIVP, n_steps: int, method: SolverMethod) -> Trajectory:
     k = np.arange(n + 2, dtype=float)
     ka = k**alpha
     # db[m] = (m+1)**alpha - m**alpha; the predictor weight for lag m.
-    db = np.diff(ka)
+    db = _aligned(np.diff(ka))
     pref_p = h**alpha / gamma(alpha + 1.0)
     if corrected:
         ka1 = k ** (alpha + 1.0)
         # c2[m] = (m+2)**(alpha+1) + m**(alpha+1) - 2*(m+1)**(alpha+1):
         # corrector weight for lag m = n - j of an interior node.
-        c2 = ka1[2:] + ka1[:-2] - 2.0 * ka1[1:-1]
+        c2 = _aligned(ka1[2:] + ka1[:-2] - 2.0 * ka1[1:-1])
         pref_c = h**alpha / gamma(alpha + 2.0)
 
     u = np.empty(n + 1)
@@ -176,10 +190,6 @@ def _reference_solution(ivp: FractionalIVP) -> Callable[[float], float]:
     alpha = ivp.alpha
 
     if a == 0.0 and b == 0.0:
-        if abs(c) * ivp.t_final**alpha > 30.0:
-            raise ValueError(
-                "linear reference solution needs |c| * t_final**alpha <= 30"
-            )
         return lambda t: x0 * mittag_leffler(alpha, c * t**alpha)
     if alpha == 1.0 and a == 0.0:
         if c == 0.0:
@@ -209,8 +219,9 @@ def convergence_study(
         raise ValueError(f"base_steps must be >= 1, got {base_steps!r}")
     if refinements < 2:
         raise ValueError(f"refinements must be >= 2, got {refinements!r}")
-    reference = _reference_solution(ivp)
-    exact = reference(ivp.t_final)
+    # The reference is evaluated before any solve, so its domain check (for
+    # the linear law, mittag_leffler's |z| <= 30) fails before any work.
+    exact = _reference_solution(ivp)(ivp.t_final)
     ns = [base_steps * 2**k for k in range(refinements + 1)]
     hs = [ivp.t_final / n for n in ns]
     errors = [abs(solve(ivp, n, method).values[-1] - exact) for n in ns]

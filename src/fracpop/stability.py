@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .models import Allee, Cubic, LogisticHarvest, rhs_eval
+from .models import Allee, Cubic, LogisticHarvest, _check, rhs_eval
 
 __all__ = [
     "Classification",
@@ -115,9 +115,8 @@ def classify(
     The multiplicity reported is the order of the first nonvanishing
     derivative at the root (2 or 3 for flat roots).
     """
-    if not (0.0 < alpha <= 1.0):
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha!r}")
-    x = float(x_eq)
+    _check("alpha", alpha)
+    x = _check("x_eq", x_eq)
     residual = rhs_eval(coeffs, x)
     residual_tol = 1e-9 * (
         1.0

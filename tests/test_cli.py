@@ -193,6 +193,15 @@ def test_simulate_validates_whole_sweep_before_writing(tmp_path, capsys):
         (logistic + ("--t-final", "nan"), "t_final must be finite, got nan"),
         (logistic + ("--t-final", "inf"), "t_final must be finite, got inf"),
         (logistic + ("--t-final", "1", "--n-steps", "0"), "n_steps must be >= 1, got 0"),
+        # Members whose CSV names coincide would overwrite each other.
+        (("--model", "logistic", "--r", "0.5", "--K", "10", "--alpha", "1",
+          "--x0", "4,4.0000001", "--t-final", "1"),
+         "two sweep members would both write logistic_alpha1_x04.csv"),
+        (logistic + ("--alpha", "0.5,0.50000001", "--t-final", "1"),
+         "two sweep members would both write logistic_alpha0.5_x04.csv"),
+        (("--model", "logistic", "--r", "0.5", "--K", "10", "--alpha", "1",
+          "--x0", "4,4", "--t-final", "1"),
+         "two sweep members would both write logistic_alpha1_x04.csv"),
     ]
     for index, (flags, message) in enumerate(sweeps):
         out_dir = tmp_path / str(index)
@@ -316,6 +325,14 @@ def test_convergence_requires_reference(capsys):
     )
     assert code == 2
     assert "closed-form" in err
+    # The linear law's reference is limited by the Mittag-Leffler domain.
+    code, out, err = run_cli(
+        capsys, "convergence", "--model", "cubic", "--a", "0", "--b", "0", "--c", "-40",
+        "--alpha", "1", "--x0", "1", "--t-final", "1",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: |z| <= 30 required, got -40.0\n"
 
 
 def test_regime_sweep_smoke_matrix(tmp_path, capsys):

@@ -163,6 +163,8 @@ def test_bound_domain_errors():
     for alpha in (0.0, -0.2, 1.1):
         with pytest.raises(ValueError):
             existence_bound(coeffs, 1.0, alpha)
+    with pytest.raises(ValueError, match=r"^alpha must be finite, got nan$"):
+        existence_bound(coeffs, 1.0, float("nan"))
 
 
 def test_default_h_state():

@@ -18,6 +18,7 @@ from fracpop import (
     LogisticHarvest,
     SolverMethod,
     Trajectory,
+    convergence_study,
     estimate_order,
     rhs_eval,
     solve,
@@ -225,6 +226,19 @@ def test_grid_shape_and_validation():
         Grid(0, 1.0)
     with pytest.raises(ValueError):
         Grid(10, 0.0)
+    with pytest.raises(ValueError, match=r"^t_final must be finite, got nan$"):
+        Grid(10, float("nan"))
+    # A fractional step count is rejected, not truncated.
+    with pytest.raises(ValueError, match=r"^n_steps must be a whole number, got 2\.9$"):
+        Grid(2.9, 1.0)
+    ivp = FractionalIVP(1.0, LINEAR_DECAY, 1.0, 1.0)
+    with pytest.raises(ValueError, match="whole number, got 2.9"):
+        solve(ivp, 2.9, SolverMethod.FRAC_EULER)
+    with pytest.raises(ValueError, match="whole number, got 1.5"):
+        convergence_study(ivp, SolverMethod.FRAC_EULER, 1.5, 2)
+    for whole in (np.int64(5), 5.0):
+        n_steps = Grid(whole, 1.0).n_steps
+        assert n_steps == 5 and type(n_steps) is int
 
 
 def test_trajectory_initial_value_is_exact():

@@ -106,12 +106,17 @@ def test_classify_flat_root_is_inconclusive():
 def test_classify_rejects_non_equilibrium():
     with pytest.raises(ValueError):
         classify(LOGISTIC, 3.0, 0.5)
+    for x in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=f"^x_eq must be finite, got {x!r}$"):
+            classify(LOGISTIC, x, 0.5)
 
 
 def test_classify_checks_alpha_domain():
     for alpha in (0.0, -0.1, 1.5):
         with pytest.raises(ValueError):
             classify(LOGISTIC, 0.0, alpha)
+    with pytest.raises(ValueError, match=r"^alpha must be finite, got nan$"):
+        classify(LOGISTIC, 0.0, float("nan"))
 
 
 def test_tags_do_not_depend_on_alpha():
