@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from pathlib import Path
 
 from .models import (
@@ -111,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="integration scheme (default adams)",
     )
     sim.add_argument("--out", default=".", help="output directory for CSV files")
-    sim.set_defaults(run=lambda args: cmd_simulate(_simulate_config(args)))
+    sim.set_defaults(run=cmd_simulate)
 
     eq = sub.add_parser("equilibria", help="print equilibria with stability tags")
     _add_model_flags(eq, sweep_effort=False)
@@ -148,90 +148,61 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _build_model(kind: str, params: dict[str, float]) -> ModelSpec:
-    required = [field.name for field in fields(_MODELS[kind])]
-    missing = [name for name in required if params.get(name) is None]
+def _build_model(args: argparse.Namespace, **override: float | None) -> ModelSpec:
+    params = {name: getattr(args, name) for name in _ALL_PARAMS} | override
+    required = [field.name for field in fields(_MODELS[args.model])]
+    missing = [name for name in required if params[name] is None]
     extra = [
         name
         for name in _ALL_PARAMS
-        if name not in required and params.get(name) is not None
+        if name not in required and params[name] is not None
     ]
     if missing:
-        raise ValueError(f"model {kind!r} needs --{' --'.join(missing)}")
+        raise ValueError(f"model {args.model!r} needs --{' --'.join(missing)}")
     if extra:
-        raise ValueError(f"model {kind!r} does not take --{' --'.join(extra)}")
-    return _MODELS[kind](**{name: params[name] for name in required})
-
-
-def _model_params(args: argparse.Namespace) -> dict[str, float]:
-    return {name: getattr(args, name) for name in _ALL_PARAMS}
+        raise ValueError(f"model {args.model!r} does not take --{' --'.join(extra)}")
+    return _MODELS[args.model](**{name: params[name] for name in required})
 
 
 def _default_steps(t_final: float) -> int:
     return max(1, min(_MAX_DEFAULT_STEPS, round(10.0 * t_final)))
 
 
-@dataclass
-class RunConfig:
-    """Validated inputs of one ``simulate`` invocation: the IVP of each CSV path."""
-
-    members: dict[Path, FractionalIVP]
-    grid: Grid
-    method: SolverMethod
-    out_dir: Path
+def _write_csv(path: Path, trajectory: Trajectory) -> None:
+    rows = zip(trajectory.grid.times.tolist(), trajectory.values.tolist())
+    text = "".join("%.17g,%.17g\n" % row for row in rows)
+    path.write_text("t,x\n" + text, encoding="ascii")
 
 
-def _simulate_config(args: argparse.Namespace) -> RunConfig:
-    """Build every member of the sweep, so a bad value fails before any write."""
-    params = _model_params(args)
-    models = [
-        _build_model(args.model, dict(params, E=effort))
-        for effort in params["E"] or (None,)
-    ]
+def cmd_simulate(args: argparse.Namespace) -> None:
+    """Solve and write each sweep member.  Every member, its CSV path and the
+    grid are built first, so a bad value fails before any write."""
+    efforts = args.E or (None,)
+    models = [_build_model(args, E=effort) for effort in efforts]
     out_dir = Path(args.out)
-    members: dict[Path, FractionalIVP] = {}
-    for model, alpha, x0 in itertools.product(models, args.alpha, args.x0):
+    members: dict[Path, tuple[FractionalIVP, dict[str, str]]] = {}
+    for (effort, model), alpha, x0 in itertools.product(
+        zip(efforts, models), args.alpha, args.x0
+    ):
         ivp = FractionalIVP(alpha=alpha, model=model, x0=x0, t_final=args.t_final)
+        swept = {"alpha": alpha, "x0": x0, "E": effort}
+        label = {name: f"{value:g}" for name, value in swept.items() if value is not None}
         # File names keep 6 significant digits, so distinct values can collide.
-        path = out_dir / _csv_name(args.model, ivp)
+        stem = "_".join([args.model, *(name + text for name, text in label.items())])
+        path = out_dir / f"{stem}.csv"
         if path in members:
             raise ValueError(f"two sweep members would both write {path.name}")
-        members[path] = ivp
+        members[path] = (ivp, label)
     # t_final is validated by now, so the default step count can use it.
     n_steps = args.n_steps if args.n_steps is not None else _default_steps(args.t_final)
-    return RunConfig(
-        members=members,
-        grid=Grid(n_steps, args.t_final),
-        method=SolverMethod(args.method),
-        out_dir=out_dir,
-    )
-
-
-def _csv_name(kind: str, ivp: FractionalIVP) -> str:
-    parts = [kind, f"alpha{ivp.alpha:g}", f"x0{ivp.x0:g}"]
-    effort = getattr(ivp.model, "E", None)
-    if effort is not None:
-        parts.append(f"E{effort:g}")
-    return "_".join(parts) + ".csv"
-
-
-def _write_csv(path: Path, trajectory: Trajectory) -> None:
-    lines = ["t,x"]
-    for t, x in zip(trajectory.grid.times, trajectory.values):
-        lines.append(f"{t:.17g},{x:.17g}")
-    path.write_text("\n".join(lines) + "\n", encoding="ascii")
-
-
-def cmd_simulate(cfg: RunConfig) -> None:
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    for path, ivp in cfg.members.items():
+    grid = Grid(n_steps, args.t_final)
+    method = SolverMethod(args.method)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for path, (ivp, label) in members.items():
         try:
-            trajectory = solve(ivp, cfg.grid.n_steps, cfg.method)
+            trajectory = solve(ivp, grid.n_steps, method)
         except BlowUpError as exc:
-            detail = f"alpha={ivp.alpha:g}, x0={ivp.x0:g}"
-            effort = getattr(ivp.model, "E", None)
-            if effort is not None:
-                detail += f", E={effort:g}"
+            detail = ", ".join(f"{name}={text}" for name, text in label.items())
             # Name the member; main maps every blow-up to exit 3.
             exc.args = (f"simulate failed ({detail}): {exc}",)
             raise
@@ -240,13 +211,13 @@ def cmd_simulate(cfg: RunConfig) -> None:
 
 
 def cmd_equilibria(args: argparse.Namespace) -> None:
-    model = _build_model(args.model, _model_params(args))
+    model = _build_model(args)
     coeffs = to_cubic(model)
     reports = classify_all(coeffs, args.alpha)
     print(f"model = {args.model}, alpha = {args.alpha:g}")
     print(f"cubic coefficients: a = {coeffs.a:.12g}, b = {coeffs.b:.12g}, c = {coeffs.c:.12g}")
     for report in reports:
-        tag = report.classification.value if report.classification else "?"
+        tag = report.classification.value
         line = f"x_eq = {report.x_eq:.12g}\tlambda = {report.lam:.12g}\t{tag}"
         if report.multiplicity > 1:
             line += f"\t(multiplicity {report.multiplicity})"
@@ -254,7 +225,7 @@ def cmd_equilibria(args: argparse.Namespace) -> None:
 
 
 def cmd_bound(args: argparse.Namespace) -> None:
-    model = _build_model(args.model, _model_params(args))
+    model = _build_model(args)
     h_state = args.h_state
     if h_state is None:
         try:
@@ -269,7 +240,7 @@ def cmd_bound(args: argparse.Namespace) -> None:
 
 
 def cmd_convergence(args: argparse.Namespace) -> None:
-    model = _build_model(args.model, _model_params(args))
+    model = _build_model(args)
     ivp = FractionalIVP(alpha=args.alpha, model=model, x0=args.x0, t_final=args.t_final)
     method = SolverMethod(args.method)
     ns, hs, errors, order = convergence_study(ivp, method, args.base_steps, args.refinements)

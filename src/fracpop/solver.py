@@ -94,12 +94,6 @@ class Trajectory:
     values: np.ndarray
 
 
-def _checked(value: float, step_index: int, h: float) -> float:
-    if not math.isfinite(value) or abs(value) > BLOWUP_LIMIT:
-        raise BlowUpError(step_index, step_index * h, value)
-    return value
-
-
 def _aligned(values: np.ndarray) -> np.ndarray:
     """Copy of ``values`` whose data starts on a 64-byte boundary.
 
@@ -171,7 +165,8 @@ def solve(ivp: FractionalIVP, n_steps: int, method: SolverMethod) -> Trajectory:
                 # Interior nodes j = 1..step enter with weight c2[step - j].
                 hist_c += float(np.dot(c2[:step], frev[n - step : n]))
             value = ivp.x0 + pref_c * (hist_c + f_pred)
-        value = _checked(value, step + 1, h)
+        if not math.isfinite(value) or abs(value) > BLOWUP_LIMIT:
+            raise BlowUpError(step + 1, (step + 1) * h, value)
         u[step + 1] = value
         frev[n - (step + 1)] = rhs_eval(coeffs, value)
     return Trajectory(grid=grid, values=u)

@@ -61,6 +61,11 @@ def test_simulate_writes_named_files(tmp_path, capsys):
         assert t[0] == 0.0 and t[-1] == 50.0
         assert x[0] == float(x0)
         assert np.all(np.isfinite(x))
+        ivp = fracpop.FractionalIVP(0.5, fracpop.LogisticHarvest(0.5, 10.0, 0.2), float(x0), 50.0)
+        values = fracpop.solve(ivp, 100, fracpop.SolverMethod.FRAC_ADAMS_PECE).values
+        rows = zip(fracpop.Grid(100, 50.0).times, values)
+        want = "t,x\n" + "".join(f"{time:.17g},{value:.17g}\n" for time, value in rows)
+        assert path.read_text(encoding="ascii") == want
     assert out.count("wrote ") == 2
 
 

@@ -139,7 +139,8 @@ def transcribed_scheme(ivp, n, corrected):
     Weights come straight from the formulas in the ``solve`` docstring, the
     prefactors from ``math.gamma``, and every history sum is a Python loop
     over the nodes j = 0..m, with no reversed buffer or precomputed weight
-    arrays.
+    arrays.  Only the accepted state is checked: past ``BLOWUP_LIMIT`` or
+    non-finite, it raises ``BlowUpError`` as ``solve`` documents.
     """
     coeffs = to_cubic(ivp.model)
     alpha, x0 = ivp.alpha, ivp.x0
@@ -163,6 +164,8 @@ def transcribed_scheme(ivp, n, corrected):
                 )
                 hist_c += weight * f[j]
             value = x0 + pref_c * (hist_c + rhs_eval(coeffs, value))
+        if not math.isfinite(value) or abs(value) > BLOWUP_LIMIT:
+            raise BlowUpError(m + 1, (m + 1) * h, value)
         u.append(value)
         f.append(rhs_eval(coeffs, value))
     return np.array(u)
@@ -175,6 +178,20 @@ def test_solve_matches_transcribed_scheme(alpha, method):
     got = solve(ivp, 40, method).values
     want = transcribed_scheme(ivp, 40, method is SolverMethod.FRAC_ADAMS_PECE)
     assert np.max(np.abs(got - want) / (1.0 + np.abs(want))) <= 1e-12
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.75])
+@pytest.mark.parametrize("method", list(SolverMethod))
+def test_solve_blowup_matches_transcribed_scheme(alpha, method):
+    ivp = FractionalIVP(alpha, Cubic(1.0, 0.0, 0.0), 1.0, 5.0)
+    corrected = method is SolverMethod.FRAC_ADAMS_PECE
+    with pytest.raises(BlowUpError) as want_info:
+        transcribed_scheme(ivp, 500, corrected)
+    with pytest.raises(BlowUpError) as got_info:
+        solve(ivp, 500, method)
+    got, want = got_info.value, want_info.value
+    assert (got.step_index, got.time) == (want.step_index, want.time)
+    assert got.value == pytest.approx(want.value, rel=1e-10)
 
 
 def test_mapped_model_matches_raw_cubic():
