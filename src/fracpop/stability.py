@@ -7,6 +7,10 @@ fractional stability sector |arg lambda| > alpha*pi/2 makes the verdict
 independent of alpha on (0, 1]: positive eigenvalues are unstable, negative
 ones asymptotically stable, and a vanishing eigenvalue is inconclusive at
 this linearization order.
+
+Every tolerance is relative to the size of the terms it compares against,
+with no absolute floor.  Rescaling time multiplies a, b and c by one positive
+factor, so it changes no equilibrium, tag or multiplicity.
 """
 
 from __future__ import annotations
@@ -41,114 +45,92 @@ class DegenerateModelError(ValueError):
 
 @dataclass(frozen=True)
 class EquilibriumReport:
-    """One equilibrium with its eigenvalue and (optional) stability tag."""
+    """One equilibrium with its eigenvalue, stability tag and multiplicity."""
 
     x_eq: float
     lam: float
-    classification: Classification | None
-    multiplicity: int = 1
+    classification: Classification
+    multiplicity: int
 
 
-def _eigenvalue(coeffs: Cubic, x: float) -> float:
-    """f'(x) = 3a x**2 + 2b x + c in Horner form."""
-    return (3.0 * coeffs.a * x + 2.0 * coeffs.b) * x + coeffs.c
+def _check_root(coeffs: Cubic, x: float, error: type[Exception]) -> None:
+    """Raise ``error`` unless |f(x)| is within 1e-9 of the size of f's terms.
+
+    The size is a Horner sum, so no power of x overflows on its own, and a
+    residual or a size that is not finite never passes.
+    """
+    x_abs = abs(x)
+    size = ((abs(coeffs.a) * x_abs + abs(coeffs.b)) * x_abs + abs(coeffs.c)) * x_abs
+    residual = rhs_eval(coeffs, x)
+    if not abs(residual) <= 1e-9 * size < math.inf:
+        raise error(f"x = {x!r} is not an equilibrium: residual {residual!r}, size {size!r}")
 
 
-def _eigenvalue_tol(coeffs: Cubic, x: float) -> float:
-    return 1e-12 * (
-        1.0 + abs(3.0 * coeffs.a * x * x) + abs(2.0 * coeffs.b * x) + abs(coeffs.c)
-    )
+def _report(coeffs: Cubic, x: float) -> EquilibriumReport:
+    """Tag and multiplicity of the root x from its first nonvanishing derivative.
 
-
-def equilibria(coeffs: Cubic) -> list[EquilibriumReport]:
-    """All real roots of a*x**3 + b*x**2 + c*x = 0, without stability tags.
-
-    x = 0 is always a root.  The quadratic factor is solved in the
-    cancellation-free form q = -(b + sign(b)*sqrt(disc))/2 with roots q/a and
-    c/q.  A double quadratic root (discriminant within rounding of zero) is
-    reported once with multiplicity 2; coincident roots are merged.
+    A derivative vanishes when it is within 1e-12 of the size of its terms.  A
+    vanishing lambda = f'(x) is inconclusive, of multiplicity 2 or 3.
     """
     a, b, c = coeffs.a, coeffs.b, coeffs.c
-    if a == 0.0 and b == 0.0 and c == 0.0:
-        raise DegenerateModelError("a = b = c = 0 leaves every state stationary")
-
-    roots: list[tuple[float, int]] = [(0.0, 1)]
-    if a != 0.0:
-        disc = b * b - 4.0 * a * c
-        disc_tol = 1e-12 * (b * b + 4.0 * abs(a * c) + 1.0)
-        if abs(disc) <= disc_tol:
-            roots.append((-b / (2.0 * a), 2))
-        elif disc > 0.0:
-            s = math.sqrt(disc)
-            q = -0.5 * (b + math.copysign(s, b))
-            roots.append((q / a, 1))
-            roots.append((c / q, 1))
-    elif b != 0.0:
-        roots.append((-c / b, 1))
-
-    roots.sort(key=lambda item: item[0])
-    merged: list[tuple[float, int]] = []
-    for x, mult in roots:
-        if merged and abs(x - merged[-1][0]) <= 1e-10 * (1.0 + abs(x)):
-            merged[-1] = (merged[-1][0], merged[-1][1] + mult)
-        else:
-            merged.append((x, mult))
-
-    return [
-        EquilibriumReport(
-            x_eq=x,
-            lam=_eigenvalue(coeffs, x),
-            classification=None,
-            multiplicity=mult,
-        )
-        for x, mult in merged
-    ]
-
-
-def classify(
-    coeffs: Cubic, x_eq: float, alpha: float
-) -> EquilibriumReport:
-    """Stability tag of one equilibrium from the sign of lambda = f'(x_eq).
-
-    The eigenvalue is compared against a scale-aware band around zero; inside
-    the band the linearization is silent and the verdict is inconclusive.
-    The multiplicity reported is the order of the first nonvanishing
-    derivative at the root (2 or 3 for flat roots).
-    """
-    _check("alpha", alpha)
-    x = _check("x_eq", x_eq)
-    residual = rhs_eval(coeffs, x)
-    residual_tol = 1e-9 * (
-        1.0
-        + abs(coeffs.a) * abs(x) ** 3
-        + abs(coeffs.b) * x * x
-        + abs(coeffs.c) * abs(x)
-    )
-    if abs(residual) > residual_tol:
-        raise ValueError(
-            f"x = {x!r} is not an equilibrium: residual {residual!r} exceeds "
-            f"{residual_tol!r}"
-        )
-
-    lam = _eigenvalue(coeffs, x)
-    lam_tol = _eigenvalue_tol(coeffs, x)
-    if lam > lam_tol:
-        tag = Classification.UNSTABLE
-        mult = 1
-    elif lam < -lam_tol:
-        tag = Classification.ASYMPTOTICALLY_STABLE
-        mult = 1
+    x_abs = abs(x)
+    lam = (3.0 * a * x + 2.0 * b) * x + c
+    band = 1e-12 * ((3.0 * abs(a) * x_abs + 2.0 * abs(b)) * x_abs + abs(c))
+    if lam > band:
+        tag, mult = Classification.UNSTABLE, 1
+    elif lam < -band:
+        tag, mult = Classification.ASYMPTOTICALLY_STABLE, 1
     else:
-        tag = Classification.INCONCLUSIVE
-        curvature = 6.0 * coeffs.a * x + 2.0 * coeffs.b
-        curvature_tol = 1e-12 * (1.0 + abs(6.0 * coeffs.a * x) + abs(2.0 * coeffs.b))
-        mult = 3 if abs(curvature) <= curvature_tol else 2
+        curvature = 6.0 * a * x + 2.0 * b
+        flat = abs(curvature) <= 1e-12 * (6.0 * abs(a) * x_abs + 2.0 * abs(b))
+        tag, mult = Classification.INCONCLUSIVE, 3 if flat else 2
     return EquilibriumReport(x_eq=x, lam=lam, classification=tag, multiplicity=mult)
 
 
+def equilibria(coeffs: Cubic) -> list[EquilibriumReport]:
+    """All real roots of a*x**3 + b*x**2 + c*x = 0, tagged, in ascending order.
+
+    x = 0 is always a root.  The quadratic factor, scaled exactly by a power of
+    two so that b*b cannot overflow, has the cancellation-free roots q/a and c/q
+    with q = -(b + sign(b)*sqrt(disc))/2, or the one double root -b/(2a) when
+    the discriminant is within 1e-12 of the size of its terms.  Distinct roots
+    then differ by more than 1e-6 of their size, so only equal roots merge.  A
+    root that fails the residual check of ``classify`` raises ArithmeticError.
+    """
+    if coeffs.a == 0.0 and coeffs.b == 0.0 and coeffs.c == 0.0:
+        raise DegenerateModelError("a = b = c = 0 leaves every state stationary")
+    shift = -math.frexp(max(abs(coeffs.a), abs(coeffs.b), abs(coeffs.c)))[1]
+    a, b, c = (math.ldexp(v, shift) for v in (coeffs.a, coeffs.b, coeffs.c))
+    roots = [0.0]
+    if a != 0.0:
+        disc = b * b - 4.0 * a * c
+        if abs(disc) <= 1e-12 * (b * b + 4.0 * abs(a * c)):
+            roots.append(-b / (2.0 * a))
+        elif disc > 0.0:
+            q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+            roots += [q / a, c / q]
+    elif b != 0.0:
+        roots.append(-c / b)
+
+    # set() keeps the first of 0.0 and -0.0, the origin's 0.0.
+    xs = sorted(set(roots))
+    for x in xs:
+        _check_root(coeffs, x, ArithmeticError)
+    return [_report(coeffs, x) for x in xs]
+
+
+def classify(coeffs: Cubic, x_eq: float, alpha: float) -> EquilibriumReport:
+    """The report ``equilibria`` gives for x_eq; ValueError unless x_eq is a root."""
+    _check("alpha", alpha)
+    x = _check("x_eq", x_eq)
+    _check_root(coeffs, x, ValueError)
+    return _report(coeffs, x)
+
+
 def classify_all(coeffs: Cubic, alpha: float) -> list[EquilibriumReport]:
-    """Classified equilibria in ascending x_eq order."""
-    return [classify(coeffs, report.x_eq, alpha) for report in equilibria(coeffs)]
+    """``equilibria`` after checking alpha, on which no tag depends."""
+    _check("alpha", alpha)
+    return equilibria(coeffs)
 
 
 def harvest_threshold(r: float, K: float, m: float) -> float:

@@ -240,13 +240,17 @@ def test_equilibria_logistic_report(capsys):
 
 
 def test_equilibria_allee_report(capsys):
-    code, out, _ = run_cli(
-        capsys, "equilibria", "--model", "allee", "--r", "0.5", "--K", "10",
-        "--m", "1", "--alpha", "0.5",
-    )
-    assert code == 0
-    reports = parsed_equilibria(out)
-    assert [(round(x, 9), tag) for x, tag in reports] == [(0.0, "AS"), (1.0, "U"), (10.0, "AS")]
+    # A tiny growth rate only slows time down: the equilibria stay put.
+    for r in ("0.5", "1e-12"):
+        code, out, _ = run_cli(
+            capsys, "equilibria", "--model", "allee", "--r", r, "--K", "10",
+            "--m", "1", "--alpha", "0.5",
+        )
+        assert code == 0
+        reports = parsed_equilibria(out)
+        assert [(round(x, 9), tag) for x, tag in reports] == [
+            (0.0, "AS"), (1.0, "U"), (10.0, "AS")
+        ]
 
 
 def test_equilibria_degenerate_exit_code(capsys):
@@ -285,7 +289,7 @@ def test_bound_cubic_requires_half_width(capsys):
         "--alpha", "0.5",
     )
     assert code == 2
-    assert "--h-state" in err
+    assert err == "error: no default state half-width for a raw cubic model; use --h-state\n"
 
 
 def test_bound_pure_linear(capsys):

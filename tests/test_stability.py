@@ -72,19 +72,46 @@ def test_equilibria_triple_root_at_origin():
     assert len(reports) == 1
     assert reports[0].x_eq == 0.0
     assert reports[0].multiplicity == 3
+    assert reports[0].classification is INC
     classified = classify_all(Cubic(1.0, 0.0, 0.0), 0.5)
     assert classified[0].classification is INC
     assert classified[0].multiplicity == 3
 
 
+def test_equilibria_far_from_unit_scale():
+    # x**2 + 10x - 10 has roots -5 -/+ sqrt(35), x**2 + 3x + 1 has
+    # (-3 -/+ sqrt(5)) / 2 and x**2 - 1e-14 has -/+ 1e-7: tiny or huge
+    # coefficients, or roots close to the origin, move no tag.
+    cases = [
+        (Cubic(1.0, 0.0, -1e-14), [-1e-7, 0.0, 1e-7]),
+        (Cubic(1e-13, 1e-12, -1e-12), [-5.0 - math.sqrt(35.0), 0.0, -5.0 + math.sqrt(35.0)]),
+        (Cubic(1e200, 3e200, 1e200), [-1.5 - math.sqrt(1.25), -1.5 + math.sqrt(1.25), 0.0]),
+        (Cubic(1e-200, 3e-200, 1e-200), [-1.5 - math.sqrt(1.25), -1.5 + math.sqrt(1.25), 0.0]),
+    ]
+    for coeffs, want in cases:
+        reports = equilibria(coeffs)
+        assert len(reports) == 3
+        for report, x in zip(reports, want):
+            assert abs(report.x_eq - x) <= 1e-12 * abs(x)
+        assert [(r.classification, r.multiplicity) for r in reports] == [(U, 1), (AS, 1), (U, 1)]
+
+
+def test_equilibria_unrepresentable_root_raises():
+    # The root -1e8 is exact, but a*x**3 overflows there, so no residual or
+    # eigenvalue can be formed.
+    with pytest.raises(ArithmeticError, match="is not an equilibrium"):
+        equilibria(Cubic(1e300, 1e308, 1e-300))
+
+
 def test_equilibria_double_root_reported_once():
     # Harvested Allee growth exactly at its critical effort: the interior
-    # pair collapses onto (m + K) / 2.
-    coeffs = to_cubic(AlleeHarvest(0.5, 10.0, 1.0, 1.0125))
-    reports = classify_all(coeffs, 0.5)
-    assert [(round(r.x_eq, 9), r.multiplicity) for r in reports] == [(0.0, 1), (5.5, 2)]
-    assert reports[0].classification is AS
-    assert reports[1].classification is INC
+    # pair collapses onto (m + K) / 2, also when time runs 5e12 times slower.
+    for rate, effort in ((0.5, 1.0125), (1e-13, 2.025e-13)):
+        coeffs = to_cubic(AlleeHarvest(rate, 10.0, 1.0, effort))
+        reports = classify_all(coeffs, 0.5)
+        assert [(round(r.x_eq, 9), r.multiplicity) for r in reports] == [(0.0, 1), (5.5, 2)]
+        assert reports[0].classification is AS
+        assert reports[1].classification is INC
 
 
 def test_classify_logistic_examples():
@@ -97,6 +124,13 @@ def test_classify_logistic_examples():
     assert abs(capacity.lam + 0.5) <= 1e-12
 
 
+def test_classify_does_not_overflow():
+    # x = -1e300 is a root of 1e-300 x**2 + x, whose terms are each 1e300.
+    report = classify(Cubic(0.0, 1e-300, 1.0), -1e300, 0.5)
+    assert report.classification is AS
+    assert report.lam == -1.0
+
+
 def test_classify_flat_root_is_inconclusive():
     report = classify(Cubic(1.0, 0.0, 0.0), 0.0, 0.5)
     assert report.classification is INC
@@ -106,6 +140,9 @@ def test_classify_flat_root_is_inconclusive():
 def test_classify_rejects_non_equilibrium():
     with pytest.raises(ValueError):
         classify(LOGISTIC, 3.0, 0.5)
+    # Residual and size both overflow to inf there.
+    with pytest.raises(ValueError, match="is not an equilibrium"):
+        classify(Cubic(1.0, 0.0, 0.0), 1e200, 0.5)
     for x in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match=f"^x_eq must be finite, got {x!r}$"):
             classify(LOGISTIC, x, 0.5)
@@ -165,15 +202,20 @@ def test_classification_scale_invariance():
     while checked < 20:
         coeffs = Cubic(*rng.uniform(-2.0, 2.0, 3))
         try:
-            base = tags_of(coeffs)
+            base = classify_all(coeffs, 0.5)
         except DegenerateModelError:
             continue
         checked += 1
-        for gamma_scale in (0.5, 3.7):
+        for gamma_scale in (0.5, 3.7, 1e-12, 1e12):
             scaled = Cubic(
                 gamma_scale * coeffs.a, gamma_scale * coeffs.b, gamma_scale * coeffs.c
             )
-            assert [tag for _, tag in tags_of(scaled)] == [tag for _, tag in base]
+            got = classify_all(scaled, 0.5)
+            assert [(r.classification, r.multiplicity) for r in got] == [
+                (r.classification, r.multiplicity) for r in base
+            ]
+            for report, want in zip(got, base):
+                assert abs(report.x_eq - want.x_eq) <= 1e-12 * abs(want.x_eq)
 
 
 def test_harvest_threshold_values():
