@@ -15,6 +15,7 @@ blow-up, 4 filesystem failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import sys
 from dataclasses import fields
@@ -35,7 +36,7 @@ from .models import (
 from .solver import BlowUpError, Grid, SolverMethod, Trajectory, convergence_study, solve
 from .stability import classify_all
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main"]
 
 _MAX_DEFAULT_STEPS = 50000
 
@@ -61,7 +62,7 @@ def _float_list(text: str) -> tuple[float, ...]:
     return values
 
 
-def _add_model_flags(parser: argparse.ArgumentParser, sweep_effort: bool) -> None:
+def _add_model_flags(parser: argparse.ArgumentParser, sweep: bool) -> None:
     parser.add_argument(
         "--model", required=True, choices=sorted(_MODELS), help="model kind"
     )
@@ -71,15 +72,23 @@ def _add_model_flags(parser: argparse.ArgumentParser, sweep_effort: bool) -> Non
     parser.add_argument("--r", type=float, help="growth rate r > 0")
     parser.add_argument("--K", type=float, help="carrying capacity K > 0")
     parser.add_argument("--m", type=float, help="survival threshold m in (0, K)")
-    if sweep_effort:
+    if sweep:
         parser.add_argument(
             "--E", type=_float_list, help="harvesting effort(s), comma separated"
         )
+        parser.add_argument(
+            "--alpha",
+            type=_float_list,
+            default=(0.25, 0.5, 0.75, 1.0),
+            help="fractional order(s), comma separated (default 0.25,0.5,0.75,1.0)",
+        )
     else:
         parser.add_argument("--E", type=float, help="harvesting effort E >= 0")
+        parser.add_argument("--alpha", type=float, required=True, help="fractional order")
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache  # built on the first main call, not at import
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fracpop",
         description="Fractional-order population dynamics with cubic growth laws.",
@@ -87,13 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="integrate and write CSV trajectories")
-    _add_model_flags(sim, sweep_effort=True)
-    sim.add_argument(
-        "--alpha",
-        type=_float_list,
-        default=(0.25, 0.5, 0.75, 1.0),
-        help="fractional order(s), comma separated (default 0.25,0.5,0.75,1.0)",
-    )
+    _add_model_flags(sim, sweep=True)
     sim.add_argument(
         "--x0", type=_float_list, required=True, help="initial value(s), comma separated"
     )
@@ -114,13 +117,11 @@ def build_parser() -> argparse.ArgumentParser:
     sim.set_defaults(run=cmd_simulate)
 
     eq = sub.add_parser("equilibria", help="print equilibria with stability tags")
-    _add_model_flags(eq, sweep_effort=False)
-    eq.add_argument("--alpha", type=float, required=True, help="fractional order")
+    _add_model_flags(eq, sweep=False)
     eq.set_defaults(run=cmd_equilibria)
 
     bnd = sub.add_parser("bound", help="evaluate the uniqueness bound")
-    _add_model_flags(bnd, sweep_effort=False)
-    bnd.add_argument("--alpha", type=float, required=True, help="fractional order")
+    _add_model_flags(bnd, sweep=False)
     bnd.add_argument(
         "--h-state",
         type=float,
@@ -133,8 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     bnd.set_defaults(run=cmd_bound)
 
     conv = sub.add_parser("convergence", help="empirical convergence order")
-    _add_model_flags(conv, sweep_effort=False)
-    conv.add_argument("--alpha", type=float, required=True, help="fractional order")
+    _add_model_flags(conv, sweep=False)
     conv.add_argument("--x0", type=float, required=True, help="initial value")
     conv.add_argument("--t-final", type=float, required=True, help="end time > 0")
     conv.add_argument(
@@ -164,10 +164,6 @@ def _build_model(args: argparse.Namespace, **override: float | None) -> ModelSpe
     return _MODELS[args.model](**{name: params[name] for name in required})
 
 
-def _default_steps(t_final: float) -> int:
-    return max(1, min(_MAX_DEFAULT_STEPS, round(10.0 * t_final)))
-
-
 def _write_csv(path: Path, trajectory: Trajectory) -> None:
     rows = zip(trajectory.grid.times.tolist(), trajectory.values.tolist())
     text = "".join("%.17g,%.17g\n" % row for row in rows)
@@ -193,9 +189,10 @@ def cmd_simulate(args: argparse.Namespace) -> None:
         if path in members:
             raise ValueError(f"two sweep members would both write {path.name}")
         members[path] = (ivp, label)
-    # t_final is validated by now, so the default step count can use it.
-    n_steps = args.n_steps if args.n_steps is not None else _default_steps(args.t_final)
-    grid = Grid(n_steps, args.t_final)
+    # t_final is validated by now, so the default step count can use it.  It is
+    # capped before rounding, as 10 * t_final may overflow to inf.
+    default_steps = max(1, round(min(_MAX_DEFAULT_STEPS, 10.0 * args.t_final)))
+    grid = Grid(default_steps if args.n_steps is None else args.n_steps, args.t_final)
     method = SolverMethod(args.method)
     out_dir.mkdir(parents=True, exist_ok=True)
     for path, (ivp, label) in members.items():
@@ -251,9 +248,8 @@ def cmd_convergence(args: argparse.Namespace) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:

@@ -208,7 +208,13 @@ def existence_bound(
     h = _check("h_state", h_state)
     alpha = _check("alpha", alpha)
     rhs = 3.0 * abs(coeffs.a) * h * h + 2.0 * abs(coeffs.b) * h + abs(coeffs.c)
-    return ExistenceBound(h_state=h, rhs_bound=rhs, n_min=rhs ** (1.0 / alpha))
+    try:
+        n_min = rhs ** (1.0 / alpha)
+    except OverflowError:
+        n_min = math.inf
+    if not math.isfinite(n_min):
+        raise ValueError(f"bound beyond double range at h_state = {h!r}, alpha = {alpha!r}")
+    return ExistenceBound(h_state=h, rhs_bound=rhs, n_min=n_min)
 
 
 def default_h_state(model: ModelSpec, x0: float = 0.0) -> float:

@@ -78,6 +78,18 @@ def test_simulate_zero_dynamics_constant_column(tmp_path, capsys):
     assert code == 0
     _, x = read_csv(tmp_path / "cubic_alpha0.5_x07.csv")
     assert np.all(x == 7.0)
+    # An explicit grid works up to a t_final near the double limit.
+    out_dir = tmp_path / "huge"
+    code, _, err = run_cli(
+        capsys,
+        "simulate", "--model", "cubic", "--a", "0", "--b", "0", "--c", "0",
+        "--x0", "7", "--alpha", "0.5", "--t-final", "1e308", "--n-steps", "2",
+        "--out", str(out_dir),
+    )
+    assert code == 0, err
+    t, x = read_csv(out_dir / "cubic_alpha0.5_x07.csv")
+    assert t.tolist() == [0.0, 5e307, 1e308]
+    assert np.all(x == 7.0)
 
 
 def test_simulate_default_grid_and_alpha_sweep(tmp_path, capsys):
@@ -166,6 +178,15 @@ def test_simulate_blowup_exit_code(tmp_path, capsys):
     )
     assert code == 3
     assert "alpha=1" in err and "x0=2" in err
+    # The default grid caps at 50000 steps without overflowing 10 * t_final,
+    # and the first step of length 2e303 leaves the trust region.
+    code, _, err = run_cli(
+        capsys,
+        "simulate", "--model", "logistic", "--r", "0.5", "--K", "10", "--alpha", "1",
+        "--x0", "1", "--t-final", "1e308", "--out", str(tmp_path / "huge"),
+    )
+    assert code == 3
+    assert "state blew up at step 1 (t = 2e+303)" in err
 
 
 def test_simulate_flag_validation(tmp_path, capsys):
@@ -292,6 +313,19 @@ def test_bound_cubic_requires_half_width(capsys):
     assert err == "error: no default state half-width for a raw cubic model; use --h-state\n"
 
 
+def test_bound_beyond_double_range(capsys):
+    # Whether the power overflows (logistic) or rhs_bound is already infinite
+    # (Allee), the command fails the same way and prints nothing.
+    for model in (("logistic",), ("allee", "--m", "1")):
+        code, out, err = run_cli(
+            capsys, "bound", "--model", *model, "--r", "0.5", "--K", "10",
+            "--alpha", "0.5", "--h-state", "1e200",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: bound beyond double range at h_state = 1e+200, alpha = 0.5\n"
+
+
 def test_bound_pure_linear(capsys):
     code, out, _ = run_cli(
         capsys, "bound", "--model", "cubic", "--a", "0", "--b", "0", "--c", "1",
@@ -325,6 +359,17 @@ def test_convergence_reports_order(capsys):
     code, out, _ = run_cli(capsys, *base, "--method", "euler")
     assert code == 0
     assert abs(parsed_value(out, "order") - 1.0) <= 0.2
+
+
+def test_convergence_exact_solve_prints_nan_order(capsys):
+    code, out, err = run_cli(
+        capsys, "convergence", "--model", "cubic", "--a", "0", "--b", "0", "--c", "-1",
+        "--alpha", "1", "--x0", "0", "--t-final", "1",
+    )
+    assert code == 0
+    assert err == ""
+    assert [line.endswith("error = 0") for line in out.splitlines()].count(True) == 5
+    assert out.endswith("\norder = nan\n")
 
 
 def test_convergence_requires_reference(capsys):
@@ -379,6 +424,47 @@ def test_regime_sweep_smoke_matrix(tmp_path, capsys):
         code, _, err = run_cli(capsys, *args, "--out", str(out_dir))
         assert code == 0, f"{label} failed: {err}"
         assert len(list(out_dir.glob("*.csv"))) == 16
+
+
+def test_commands_share_one_process(tmp_path, capsys):
+    # main reuses one parser, so no call may see the flags of the one before.
+    for command in ([], ["simulate"], ["equilibria"], ["bound"], ["convergence"]):
+        code, out, _ = run_cli(capsys, *command, "--help")
+        assert code == 0
+        assert out.startswith(" ".join(["usage: fracpop", *command]))
+    code, out, err = run_cli(capsys)
+    assert code == 2
+    assert out == ""
+    assert err.endswith("fracpop: error: the following arguments are required: command\n")
+
+    code, out, _ = run_cli(
+        capsys, "simulate", "--model", "logistic-harvest", "--r", "0.5", "--K", "10",
+        "--E", "0.1,0.2", "--alpha", "1", "--x0", "4", "--t-final", "1",
+        "--out", str(tmp_path),
+    )
+    assert code == 0
+    assert out.count("wrote ") == 2
+    logistic = ("--r", "0.5", "--K", "10", "--alpha", "0.5")
+    code, out, err = run_cli(capsys, "equilibria", "--model", "logistic", *logistic)
+    assert code == 0, err
+    assert "alpha = 0.5" in out
+    code, _, err = run_cli(capsys, "equilibria", "--model", "logistic-harvest", *logistic)
+    assert code == 2
+    assert err == "error: model 'logistic-harvest' needs --E\n"
+
+    bound = ("bound", "--model", "logistic", *logistic)
+    code, out, _ = run_cli(capsys, *bound, "--x0", "20")
+    assert code == 0
+    assert parsed_value(out, "h_state") == 24.0
+    code, out, _ = run_cli(capsys, *bound)
+    assert code == 0
+    assert parsed_value(out, "h_state") == 12.0
+
+    argv = ("convergence", "--model", "cubic", "--a", "0", "--b", "0", "--c", "-1",
+            "--alpha", "0.5", "--x0", "1", "--t-final", "1")
+    first = run_cli(capsys, *argv)
+    assert first[0] == 0
+    assert run_cli(capsys, *argv) == first
 
 
 def test_module_entry_point():

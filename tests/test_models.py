@@ -1,5 +1,6 @@
 """Model catalog, cubic reduction, and the uniqueness bound."""
 
+import re
 import typing
 
 import numpy as np
@@ -165,6 +166,17 @@ def test_bound_domain_errors():
             existence_bound(coeffs, 1.0, alpha)
     with pytest.raises(ValueError, match=r"^alpha must be finite, got nan$"):
         existence_bound(coeffs, 1.0, float("nan"))
+    # A bound beyond double range fails one way, whether the power overflows
+    # (logistic; Allee at alpha = 0.25) or rhs_bound is already infinite.
+    beyond = [
+        (Logistic(0.5, 10.0), 1e200, 0.5, "1e+200, alpha = 0.5"),
+        (Allee(0.5, 10.0, 1.0), 1e200, 0.5, "1e+200, alpha = 0.5"),
+        (Allee(0.5, 10.0, 1.0), 1e80, 0.25, "1e+80, alpha = 0.25"),
+    ]
+    for model, h, alpha, where in beyond:
+        message = f"bound beyond double range at h_state = {where}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            existence_bound(to_cubic(model), h, alpha)
 
 
 def test_default_h_state():

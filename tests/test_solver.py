@@ -329,6 +329,20 @@ def test_estimate_order_quadratic_closed_forms():
     assert abs(estimate_order(quadratic, SolverMethod.FRAC_EULER, 32, 4) - 1.0) <= 0.2
 
 
+def test_convergence_study_exact_solve_has_no_order():
+    # Every error is exactly zero, so there is no slope to fit.
+    for ivp in (
+        FractionalIVP(0.5, LINEAR_DECAY, 0.0, 1.0),
+        FractionalIVP(1.0, LogisticHarvest(0.5, 10.0, 0.2), 0.0, 1.0),
+        FractionalIVP(0.5, Cubic(0.0, 0.0, 0.0), 3.0, 1.0),
+    ):
+        for method in SolverMethod:
+            ns, _, errors, order = convergence_study(ivp, method, 8, 2)
+            assert ns == [8, 16, 32]
+            assert errors == [0.0, 0.0, 0.0]
+            assert math.isnan(order)
+
+
 def test_estimate_order_requires_reference():
     with pytest.raises(ValueError):
         estimate_order(FractionalIVP(0.5, Allee(0.5, 10.0, 1.0), 4.0, 5.0), SolverMethod.FRAC_ADAMS_PECE, 32, 4)
