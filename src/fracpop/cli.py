@@ -264,7 +264,3 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

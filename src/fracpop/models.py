@@ -172,22 +172,25 @@ class ExistenceBound:
 def to_cubic(model: ModelSpec) -> Cubic:
     """Reduce a model to the coefficients of a*x**3 + b*x**2 + c*x.
 
-    A ``Cubic`` is already reduced and is returned as it is.
+    A ``Cubic`` is already reduced and is returned as it is.  r, K and m are
+    positive, so r / K and r * m vanish only by underflow; that raises
+    ``ValueError``, because the zero coefficient would silently drop the
+    equilibrium x = K or x = m.
     """
     if isinstance(model, Cubic):
         return model
+    if not isinstance(model, (Logistic, LogisticHarvest, Allee, AlleeHarvest)):
+        raise TypeError(f"unsupported model {model!r}")
+    r_k, r_m = model.r / model.K, model.r * getattr(model, "m", 1.0)
+    for name, value in (("r / K", r_k), ("r * m", r_m)):
+        if value == 0.0:
+            raise ValueError(f"{name} underflows to zero, so an equilibrium would be lost")
     # The harvested laws subtract their effort from c; x - 0.0 == x keeps the
     # unharvested coefficients exact.
     effort = getattr(model, "E", 0.0)
     if isinstance(model, (Logistic, LogisticHarvest)):
-        return Cubic(0.0, -model.r / model.K, model.r - effort)
-    if isinstance(model, (Allee, AlleeHarvest)):
-        return Cubic(
-            -model.r / model.K,
-            (model.m / model.K + 1.0) * model.r,
-            -model.r * model.m - effort,
-        )
-    raise TypeError(f"unsupported model {model!r}")
+        return Cubic(0.0, -r_k, model.r - effort)
+    return Cubic(-r_k, (model.m / model.K + 1.0) * model.r, -r_m - effort)
 
 
 def rhs_eval(coeffs: Cubic, x: float) -> float:

@@ -145,25 +145,25 @@ def solve(ivp: FractionalIVP, n_steps: int, method: SolverMethod) -> Trajectory:
         # c2[m] = (m+2)**(alpha+1) + m**(alpha+1) - 2*(m+1)**(alpha+1):
         # corrector weight for lag m = n - j of an interior node.
         c2 = _aligned(ka1[2:] + ka1[:-2] - 2.0 * ka1[1:-1])
+        # a0[m] = m**(alpha+1) - (m - alpha)*(m+1)**alpha: step m's weight of f0.
+        a0 = ka1[:n] - (k[:n] - alpha) * ka[1 : n + 1]
         pref_c = h**alpha / gamma(alpha + 2.0)
 
+    x0 = ivp.x0
     u = np.empty(n + 1)
-    u[0] = ivp.x0
-    f0 = rhs_eval(coeffs, ivp.x0)
+    u[0] = x0
+    f0 = rhs_eval(coeffs, x0)
     # frev[n - j] holds f(u_j) so history dot products read forward slices.
     frev = np.empty(n + 1)
     frev[n] = f0
     for step in range(n):
         hist_p = float(np.dot(db[: step + 1], frev[n - step :]))
-        value = ivp.x0 + pref_p * hist_p
+        value = x0 + pref_p * hist_p
         if corrected:
             f_pred = rhs_eval(coeffs, value)
-            a0 = ka1[step] - (step - alpha) * ka[step + 1]
-            hist_c = a0 * f0
-            if step >= 1:
-                # Interior nodes j = 1..step enter with weight c2[step - j].
-                hist_c += float(np.dot(c2[:step], frev[n - step : n]))
-            value = ivp.x0 + pref_c * (hist_c + f_pred)
+            # Interior nodes j = 1..step enter with weight c2[step - j].
+            hist_c = a0.item(step) * f0 + float(np.dot(c2[:step], frev[n - step : n]))
+            value = x0 + pref_c * (hist_c + f_pred)
         if not abs(value) <= BLOWUP_LIMIT:
             raise BlowUpError(step + 1, (step + 1) * h, value)
         u[step + 1] = value

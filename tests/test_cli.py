@@ -1,6 +1,7 @@
 """Command-line behavior: file outputs, reports, exit codes, determinism."""
 
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -284,6 +285,20 @@ def test_equilibria_degenerate_exit_code(capsys):
     assert "stationary" in err
 
 
+def test_equilibria_underflowed_coefficient(capsys):
+    # r / K (logistic) or r * m (Allee) underflowing to zero would drop the
+    # equilibrium x = K or x = m; the command refuses instead.
+    for flags, name in (
+        (("logistic", "--r", "1e-300", "--K", "1e300"), "r / K"),
+        (("allee-harvest", "--r", "1e-200", "--K", "10", "--m", "1e-200", "--E", "0"),
+         "r * m"),
+    ):
+        code, out, err = run_cli(capsys, "equilibria", "--model", *flags, "--alpha", "0.5")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {name} underflows to zero, so an equilibrium would be lost\n"
+
+
 def test_bound_logistic_report(capsys):
     code, out, _ = run_cli(
         capsys, "bound", "--model", "logistic", "--r", "0.5", "--K", "10",
@@ -467,16 +482,62 @@ def test_commands_share_one_process(tmp_path, capsys):
     assert run_cli(capsys, *argv) == first
 
 
-def test_module_entry_point():
-    # The child imports the same fracpop as the suite, installed or not.
+def run_module(*args, python_flags=()):
+    """Run ``python -m fracpop`` in a child on the same fracpop as the suite."""
     src = str(Path(fracpop.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-m", "fracpop", "bound", "--model", "cubic", "--a", "0",
-         "--b", "0", "--c", "1", "--alpha", "1", "--h-state", "1"],
+    return subprocess.run(
+        [sys.executable, *python_flags, "-m", "fracpop", *args],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=path),
     )
+
+
+def test_module_entry_point():
+    result = run_module(
+        "bound", "--model", "cubic", "--a", "0", "--b", "0", "--c", "1",
+        "--alpha", "1", "--h-state", "1",
+    )
     assert result.returncode == 0
     assert "n_min = 1" in result.stdout
+
+
+def test_pece_overflow_exits_3_under_warnings_as_errors():
+    # The corrector sum overflows at step 1; the run stops on the blow-up
+    # alone, with no NumPy overflow warning (fatal under -W error).
+    result = run_module(
+        "convergence", "--model", "cubic", "--a", "0", "--b", "0", "--c", "-1",
+        "--alpha", "1", "--x0", "1e308", "--t-final", "1",
+        python_flags=("-W", "error"),
+    )
+    assert result.returncode == 3
+    assert result.stdout == ""
+    assert result.stderr == (
+        "error: state blew up at step 1 (t = 0.03125): |x| = inf exceeds 1e+12\n"
+    )
+
+
+def readme_commands():
+    """Each ``fracpop`` line of the README's command-line block, as a param."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("fracpop ")]
+    assert len(commands) == 5
+    for argv in commands:
+        model = argv[argv.index("--model") + 1]
+        # The explicit scheme blows up on the default grid at alpha = 0.25,
+        # x0 = 8, although the true solution is bounded.
+        marks = pytest.mark.xfail(strict=True) if model == "allee-harvest" else ()
+        yield pytest.param(argv, id=f"{argv[0]}-{model}", marks=marks)
+
+
+@pytest.mark.parametrize("argv", readme_commands())
+def test_readme_commands(argv, tmp_path, capsys):
+    code, _, err = run_cli(capsys, *[str(tmp_path) if a == "data/" else a for a in argv])
+    assert code == 0, err
+    model = argv[argv.index("--model") + 1]
+    want = {"logistic-harvest": 4, "allee-harvest": 16}.get(model, 0)
+    assert len(list(tmp_path.glob("*.csv"))) == want

@@ -62,6 +62,29 @@ def test_reduction_allee_harvest():
     assert abs(got.c - (-0.7)) <= 1e-15
 
 
+@pytest.mark.parametrize(
+    "model, name",
+    [
+        (Logistic(1e-300, 1e300), "r / K"),
+        (LogisticHarvest(1e-300, 1e300, 0.0), "r / K"),
+        (Allee(1e-300, 1e300, 1.0), "r / K"),
+        (AlleeHarvest(1e-200, 10.0, 1e-200, 0.0), "r * m"),
+    ],
+    ids=["logistic", "logistic-harvest", "allee", "allee-harvest"],
+)
+def test_reduction_refuses_underflowed_coefficient(model, name):
+    # r / K and r * m are positive by formula; a zero there would drop the
+    # equilibrium x = K or x = m without a word.
+    with pytest.raises(ValueError, match=re.escape(f"{name} underflows to zero")):
+        to_cubic(model)
+
+
+def test_reduction_keeps_subnormal_coefficient():
+    # Only an exact zero is refused; a subnormal coefficient still reduces.
+    assert to_cubic(Logistic(1e-300, 1e10)).b == -(1e-300 / 1e10)
+    assert to_cubic(Allee(1e-300, 10.0, 1e-10)).c == -(1e-300 * 1e-10)
+
+
 def test_reduction_matches_direct_forms():
     rng = np.random.default_rng(19)
     for _ in range(50):

@@ -231,6 +231,17 @@ def test_blowup_reports_first_offending_step():
         solve(ivp, 100, SolverMethod.FRAC_EULER)
 
 
+def test_pece_overflow_is_a_blowup():
+    # The corrector sum overflows to inf at step 1.  With Python-float
+    # arithmetic that is a BlowUpError, not a NumPy overflow warning, which
+    # this suite turns into an error.
+    ivp = FractionalIVP(1.0, Cubic(0.0, 0.0, -1.0), 1e308, 1.0)
+    with pytest.raises(BlowUpError) as excinfo:
+        solve(ivp, 32, SolverMethod.FRAC_ADAMS_PECE)
+    assert excinfo.value.step_index == 1
+    assert excinfo.value.value == -math.inf
+
+
 def test_grid_shape_and_validation():
     grid = Grid(8, 2.0)
     times = grid.times
