@@ -8,8 +8,16 @@ D^alpha x = f(x) with f cubic, selected by ``SolverMethod``:
 * ``FRAC_ADAMS_PECE``: predictor-corrector of PECE type, the same
   rectangle-rule predictor followed by one trapezoid-rule correction.
 
-Both schemes keep the full convolution history (cost O(n_steps**2)).  At
-alpha = 1 the quadrature weights collapse to the classical composite
+Both schemes keep the full convolution history, summed as in Hairer,
+Lubich & Schlichte (1985): the time loop runs in leaves of 1,024 steps, and
+each step sums its own leaf's nodes directly.  When a leaf ends, the block
+of nodes before it whose size is the largest power-of-two multiple of 1,024
+dividing the leaf's start adds its part to the next steps' far sums by
+``numpy.fft``, in sub-squares of at most 8,192 x 8,192 nodes.  The leaves
+cost at most 1,024 multiply-adds per step and kernel; the transforms grow
+like n log n up to the cap and like n**2 / 8,192 past it.  A solve of at
+most 1,024 steps is one leaf: pure direct sums.
+At alpha = 1 the quadrature weights collapse to the classical composite
 rectangle and trapezoid weights, so the schemes reduce to forward Euler and
 to the one-step trapezoidal predictor-corrector written in integral form.
 """
@@ -39,6 +47,12 @@ __all__ = [
 # States beyond this magnitude are treated as numerical blow-up; finite-time
 # escape of the cubic flow reaches infinity within a few further steps anyway.
 BLOWUP_LIMIT = 1e12
+
+# Steps per leaf of the time loop.  Inside a leaf each step sums its own
+# leaf's nodes directly; the earlier nodes reach it through FFT far sums.
+_LEAF = 1024
+# Largest FFT sub-square, in source (and target) nodes: transforms of 16,384.
+_CHUNK = 8192
 
 
 class BlowUpError(ArithmeticError):
@@ -105,6 +119,35 @@ def _aligned(values: np.ndarray) -> np.ndarray:
     return buf[start : start + values.size]
 
 
+# A far sum that overflows turns inf or nan, and the step reading it raises
+# BlowUpError, as the direct sum would.
+@np.errstate(over="ignore", invalid="ignore")
+def _add_far(f: np.ndarray, kernels: list, lo: int, b: int) -> None:
+    """Add the nodes j in [lo - b, lo) to the far sums of steps [lo, lo + b).
+
+    ``f[j]`` is f(u_j).  Each ``(kernel, far, skip_f0)`` adds
+    ``sum_j kernel[m - j] * f[j]`` to ``far[m]``, leaving out node 0 when
+    ``skip_f0`` is set.  The square is cut into sub-squares of at most
+    ``_CHUNK`` sources by ``_CHUNK`` targets; each is one linear convolution
+    by ``rfft`` of twice that size, and a source chunk's transform serves
+    every kernel.
+    """
+    c = min(b, _CHUNK)
+    size = 2 * c
+    stop = min(lo + b, f.size - 1)  # f holds nodes 0..n; steps run to n - 1
+    for s0 in range(lo - b, lo, c):
+        spec = np.fft.rfft(f[s0 : s0 + c], size)
+        for t0 in range(lo, stop, c):
+            t1 = min(t0 + c, stop)
+            lag = t0 - s0
+            for kernel, far, skip_f0 in kernels:
+                # Entry c - 1 + q of the convolution of the chunk with
+                # kernel[lag - c + 1 : lag + c] is target t0 + q's sum.
+                weights = np.fft.rfft(kernel[lag - c + 1 : lag + c], size)
+                src = spec - f[0] if skip_f0 and s0 == 0 else spec
+                far[t0:t1] += np.fft.irfft(src * weights, size)[c - 1 : c - 1 + t1 - t0]
+
+
 def solve(ivp: FractionalIVP, n_steps: int, method: SolverMethod) -> Trajectory:
     """Integrate ``ivp`` on ``n_steps`` uniform steps with the chosen scheme.
 
@@ -135,6 +178,8 @@ def solve(ivp: FractionalIVP, n_steps: int, method: SolverMethod) -> Trajectory:
     h = grid.h
     n = grid.n_steps
 
+    x0 = ivp.x0
+    f0 = rhs_eval(coeffs, x0)
     k = np.arange(n + 2, dtype=float)
     ka = k**alpha
     # db[m] = (m+1)**alpha - m**alpha; the predictor weight for lag m.
@@ -148,26 +193,50 @@ def solve(ivp: FractionalIVP, n_steps: int, method: SolverMethod) -> Trajectory:
         # a0[m] = m**(alpha+1) - (m - alpha)*(m+1)**alpha: step m's weight of f0.
         a0 = ka1[:n] - (k[:n] - alpha) * ka[1 : n + 1]
         pref_c = h**alpha / gamma(alpha + 2.0)
+        del ka1
+    del k, ka
 
-    x0 = ivp.x0
-    u = np.empty(n + 1)
+    # Until step m writes them, u[m + 1] holds step m's predictor far sum and
+    # frev[n - 1 - m] its corrector far sum: the part of the history sum over
+    # nodes before m's leaf, added block by block as leaves finish.  They
+    # start at -0.0, and -0.0 + x is x for every x, so the first leaf adds
+    # nothing to the direct sums.
+    u = np.full(n + 1, -0.0)
     u[0] = x0
-    f0 = rhs_eval(coeffs, x0)
     # frev[n - j] holds f(u_j) so history dot products read forward slices.
     frev = np.empty(n + 1)
     frev[n] = f0
-    for step in range(n):
-        hist_p = float(np.dot(db[: step + 1], frev[n - step :]))
-        value = x0 + pref_p * hist_p
-        if corrected:
-            f_pred = rhs_eval(coeffs, value)
-            # Interior nodes j = 1..step enter with weight c2[step - j].
-            hist_c = a0.item(step) * f0 + float(np.dot(c2[:step], frev[n - step : n]))
-            value = x0 + pref_c * (hist_c + f_pred)
-        if not abs(value) <= BLOWUP_LIMIT:
-            raise BlowUpError(step + 1, (step + 1) * h, value)
-        u[step + 1] = value
-        frev[n - (step + 1)] = rhs_eval(coeffs, value)
+    far_p = u[1:]
+    far_c = frev[n - 1 :: -1]
+    kernels = [(db, far_p, False)]
+    if corrected:
+        # The corrector's far sums start from the f0 term, which a0 weights.
+        far_c[:] = a0 * f0
+        del a0
+        kernels.append((c2, far_c, True))
+    for lo in range(0, n, _LEAF):
+        if lo:
+            _add_far(frev[::-1], kernels, lo, lo & -lo)
+        hi = min(lo + _LEAF, n)
+        # Node j enters step m of this leaf directly when lo <= j (1 <= j
+        # for the corrector): with back = n - m the dots read frev[back:top].
+        top_p = n - lo + 1
+        top_c = min(top_p, n)
+        near_p = far_p[lo:hi].tolist()
+        near_c = far_c[lo:hi].tolist() if corrected else near_p
+        values = []
+        for back, hist_p, hist_c in zip(range(n - lo, n - hi, -1), near_p, near_c):
+            hist_p += float(np.dot(db[: top_p - back], frev[back:top_p]))
+            value = x0 + pref_p * hist_p
+            if corrected:
+                f_pred = rhs_eval(coeffs, value)
+                hist_c += float(np.dot(c2[: top_c - back], frev[back:top_c]))
+                value = x0 + pref_c * (hist_c + f_pred)
+            if not abs(value) <= BLOWUP_LIMIT:
+                raise BlowUpError(n - back + 1, (n - back + 1) * h, value)
+            values.append(value)
+            frev[back - 1] = rhs_eval(coeffs, value)
+        u[lo + 1 : hi + 1] = values
     return Trajectory(grid=grid, values=u)
 
 

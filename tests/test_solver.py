@@ -24,6 +24,8 @@ from fracpop import (
     solve,
     to_cubic,
 )
+from fracpop.solver import _aligned
+from fracpop.specfun import gamma
 
 ML_HALF_AT_MINUS_ONE = 0.42758357615580700441
 
@@ -192,6 +194,114 @@ def test_solve_blowup_matches_transcribed_scheme(alpha, method):
     got, want = got_info.value, want_info.value
     assert (got.step_index, got.time) == (want.step_index, want.time)
     assert got.value == pytest.approx(want.value, rel=1e-10)
+
+
+def direct_solve(ivp, n_steps, method):
+    """``solve`` without far sums: each step dots its whole history.
+
+    The weights, step arithmetic and blow-up check of ``solve`` in a single
+    leaf that spans the grid, so its values are the direct sums'.
+    """
+    corrected = method is SolverMethod.FRAC_ADAMS_PECE
+    grid = Grid(n_steps, ivp.t_final)
+    coeffs = to_cubic(ivp.model)
+    alpha = ivp.alpha
+    h = grid.h
+    n = grid.n_steps
+
+    k = np.arange(n + 2, dtype=float)
+    ka = k**alpha
+    db = _aligned(np.diff(ka))
+    pref_p = h**alpha / gamma(alpha + 1.0)
+    if corrected:
+        ka1 = k ** (alpha + 1.0)
+        c2 = _aligned(ka1[2:] + ka1[:-2] - 2.0 * ka1[1:-1])
+        a0 = ka1[:n] - (k[:n] - alpha) * ka[1 : n + 1]
+        pref_c = h**alpha / gamma(alpha + 2.0)
+
+    x0 = ivp.x0
+    u = np.empty(n + 1)
+    u[0] = x0
+    f0 = rhs_eval(coeffs, x0)
+    frev = np.empty(n + 1)
+    frev[n] = f0
+    for step in range(n):
+        hist_p = float(np.dot(db[: step + 1], frev[n - step :]))
+        value = x0 + pref_p * hist_p
+        if corrected:
+            f_pred = rhs_eval(coeffs, value)
+            hist_c = a0.item(step) * f0 + float(np.dot(c2[:step], frev[n - step : n]))
+            value = x0 + pref_c * (hist_c + f_pred)
+        if not abs(value) <= BLOWUP_LIMIT:
+            raise BlowUpError(step + 1, (step + 1) * h, value)
+        u[step + 1] = value
+        frev[n - (step + 1)] = rhs_eval(coeffs, value)
+    return u
+
+
+def history_scale(ivp, method, values):
+    """Size of step m's terms: |x0| + pref * sum_j |w_(m-j) f_j|, per step.
+
+    Cancellation inside the history sums sets how closely two ways of
+    summing them can agree, so the engines are compared against this.
+    """
+    coeffs = to_cubic(ivp.model)
+    n = values.size - 1
+    alpha = ivp.alpha
+    h = ivp.t_final / n
+    f = np.abs(rhs_eval(coeffs, values))
+    k = np.arange(n + 2, dtype=float)
+    db = np.diff(k**alpha)
+    scale = abs(ivp.x0) + h**alpha / math.gamma(alpha + 1.0) * np.convolve(f[:n], db[:n])[:n]
+    if method is SolverMethod.FRAC_ADAMS_PECE:
+        ka1 = k ** (alpha + 1.0)
+        c2 = ka1[2:] + ka1[:-2] - 2.0 * ka1[1:-1]
+        a0 = ka1[:n] - (k[:n] - alpha) * k[1 : n + 1] ** alpha
+        interior = np.convolve(np.concatenate(([0.0], f[1:n])), c2[:n])[:n]
+        scale += h**alpha / math.gamma(alpha + 2.0) * (np.abs(a0) * f[0] + interior + f[1:])
+    return scale
+
+
+QUICKSTART = LogisticHarvest(0.5, 10.0, 0.2)
+
+
+@pytest.mark.parametrize("n", [1, 40, 1023, 1024])
+@pytest.mark.parametrize("method", list(SolverMethod))
+def test_one_leaf_is_the_direct_sum(n, method):
+    # Up to one leaf of steps no far sum is formed: the values are the
+    # direct sums' bit for bit, signs of zero included.
+    ivp = FractionalIVP(0.5, QUICKSTART, 4.0, 500.0)
+    assert solve(ivp, n, method).values.tobytes() == direct_solve(ivp, n, method).tobytes()
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0])
+@pytest.mark.parametrize("n", [1025, 3000, 16385])
+@pytest.mark.parametrize("method", list(SolverMethod))
+@pytest.mark.parametrize(
+    "model, x0, t_final", [(QUICKSTART, 4.0, 500.0), (LINEAR_DECAY, 1.0, 30.0)], ids=["quickstart", "decay"]
+)
+def test_far_sums_match_the_direct_sum(model, x0, t_final, method, n, alpha):
+    # Past one leaf, FFT blocks carry the earlier nodes; n = 16385 needs a
+    # block of 16384 sources, which the transform cap splits in four.
+    ivp = FractionalIVP(alpha, model, x0, t_final)
+    want = direct_solve(ivp, n, method)
+    got = solve(ivp, n, method).values
+    assert got[0] == want[0]
+    assert np.all(np.abs(got[1:] - want[1:]) <= 1e-12 * history_scale(ivp, method, want))
+
+
+@pytest.mark.parametrize("alpha, x0, t_final", [(0.5, 0.4, 5.0), (1.0, 1.0, 1.0)])
+@pytest.mark.parametrize("method", list(SolverMethod))
+def test_blowup_past_the_first_leaf(alpha, x0, t_final, method):
+    ivp = FractionalIVP(alpha, Cubic(1.0, 0.0, 0.0), x0, t_final)
+    with pytest.raises(BlowUpError) as want_info:
+        direct_solve(ivp, 3000, method)
+    with pytest.raises(BlowUpError) as got_info:
+        solve(ivp, 3000, method)
+    got, want = got_info.value, want_info.value
+    assert want.step_index > 1024
+    assert (got.step_index, got.time) == (want.step_index, want.time)
+    assert got.value == pytest.approx(want.value, rel=1e-9)
 
 
 def test_mapped_model_matches_raw_cubic():

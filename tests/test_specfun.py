@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -87,6 +88,15 @@ def test_ml_strictly_increasing_in_z():
     for alpha, lo, hi in [(0.3, -1.0, 1.0), (0.5, -2.0, 2.0), (0.8, -5.0, 5.0), (1.0, -10.0, 10.0)]:
         values = [mittag_leffler(alpha, float(z)) for z in np.linspace(lo, hi, 41)]
         assert all(v2 > v1 for v1, v2 in zip(values, values[1:]))
+
+
+def test_ml_usable_domain_edge():
+    # The documented edge of the accurate domain at alpha = 0.5: -3.8 is
+    # inside it, -4.0 is refused.  E_{1/2}(-x) = exp(x**2) erfc(x).
+    want = float(mp.exp(mp.mpf("3.8") ** 2) * mp.erfc(mp.mpf("3.8")))
+    assert abs(mittag_leffler(0.5, -3.8) - want) <= 1e-10
+    with pytest.raises(ArithmeticError):
+        mittag_leffler(0.5, -4.0)
 
 
 def test_ml_domain_errors():
