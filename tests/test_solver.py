@@ -1,6 +1,7 @@
 """Integrator correctness: oracles, reductions, properties, and failure modes."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,6 @@ from fracpop import (
     solve,
     to_cubic,
 )
-from fracpop.solver import _aligned
 from fracpop.specfun import gamma
 
 ML_HALF_AT_MINUS_ONE = 0.42758357615580700441
@@ -211,11 +211,11 @@ def direct_solve(ivp, n_steps, method):
 
     k = np.arange(n + 2, dtype=float)
     ka = k**alpha
-    db = _aligned(np.diff(ka))
+    db = np.diff(ka)
     pref_p = h**alpha / gamma(alpha + 1.0)
     if corrected:
         ka1 = k ** (alpha + 1.0)
-        c2 = _aligned(ka1[2:] + ka1[:-2] - 2.0 * ka1[1:-1])
+        c2 = ka1[2:] + ka1[:-2] - 2.0 * ka1[1:-1]
         a0 = ka1[:n] - (k[:n] - alpha) * ka[1 : n + 1]
         pref_c = h**alpha / gamma(alpha + 2.0)
 
@@ -352,6 +352,23 @@ def test_pece_overflow_is_a_blowup():
     assert excinfo.value.value == -math.inf
 
 
+def test_setup_peak_memory():
+    # A solve that blows up at step 1 peaks in its set-up.  The loop needs
+    # u, frev, db and (PECE) c2; building them holds at most one array more.
+    n = 10**6
+    ivp = FractionalIVP(1.0, LINEAR_DECAY, 1e308, 1.0)
+    for method, arrays in ((SolverMethod.FRAC_ADAMS_PECE, 5.5), (SolverMethod.FRAC_EULER, 3.5)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(BlowUpError) as excinfo:
+                solve(ivp, n, method)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert excinfo.value.step_index == 1
+        assert peak <= arrays * 8 * n
+
+
 def test_grid_shape_and_validation():
     grid = Grid(8, 2.0)
     times = grid.times
@@ -462,6 +479,30 @@ def test_convergence_study_exact_solve_has_no_order():
             assert ns == [8, 16, 32]
             assert errors == [0.0, 0.0, 0.0]
             assert math.isnan(order)
+
+
+@pytest.mark.parametrize(
+    "coeffs, x0, t_final",
+    [
+        ((0.0, 1.0, 0.0), 1.0, 1.0),
+        ((0.0, 1.0, 0.0), 1.0, 2.0),
+        ((0.0, 1.0, 1.0), 1.0, math.log(2.0)),
+        ((0.0, 1.0, -1.0), 2.0, 1.0),
+    ],
+)
+def test_reference_refuses_an_escaped_solution(coeffs, x0, t_final):
+    # At alpha = 1 with a = 0 the closed form's denominator reaches zero at
+    # the escape time; past it the formula gives a finite, wrong value.
+    ivp = FractionalIVP(1.0, Cubic(*coeffs), x0, t_final)
+    with pytest.raises(ValueError, match=f"t_final = {t_final:g}"):
+        convergence_study(ivp, SolverMethod.FRAC_EULER, 1, 2)
+
+
+def test_reference_refuses_values_beyond_double_range():
+    # exp(c t) overflows although the solution has long escaped already.
+    ivp = FractionalIVP(1.0, Cubic(0.0, 1e-300, 1e300), 1.0, 1.0)
+    with pytest.raises(ValueError, match="t_final = 1"):
+        convergence_study(ivp, SolverMethod.FRAC_ADAMS_PECE, 32, 4)
 
 
 def test_estimate_order_requires_reference():
