@@ -8,8 +8,8 @@ Subcommands:
 * ``bound``: evaluate the uniqueness bound on a state ball.
 * ``convergence``: empirical order study against a closed-form reference.
 
-Exit codes: 0 success, 2 bad arguments or an unusable model, 3 numerical
-blow-up, 4 filesystem failure.
+Exit codes: 0 success, 2 bad arguments, an unusable model or a grid too
+large to allocate, 3 numerical blow-up, 4 filesystem failure.
 """
 
 from __future__ import annotations
@@ -87,6 +87,15 @@ def _add_model_flags(parser: argparse.ArgumentParser, sweep: bool) -> None:
         parser.add_argument("--alpha", type=float, required=True, help="fractional order")
 
 
+def _add_run_flags(parser: argparse.ArgumentParser, sweep: bool) -> None:
+    x0_help = "initial value(s), comma separated" if sweep else "initial value"
+    parser.add_argument("--x0", type=_float_list if sweep else float, required=True, help=x0_help)
+    parser.add_argument("--t-final", type=float, required=True, help="end time > 0")
+    parser.add_argument(
+        "--method", choices=_METHODS, default="adams", help="integration scheme (default adams)"
+    )
+
+
 @functools.cache  # built on the first main call, not at import
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -97,21 +106,12 @@ def _parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="integrate and write CSV trajectories")
     _add_model_flags(sim, sweep=True)
-    sim.add_argument(
-        "--x0", type=_float_list, required=True, help="initial value(s), comma separated"
-    )
-    sim.add_argument("--t-final", type=float, required=True, help="end time > 0")
+    _add_run_flags(sim, sweep=True)
     sim.add_argument(
         "--n-steps",
         type=int,
         default=None,
         help="grid steps (default: 10 per time unit, capped at 50000)",
-    )
-    sim.add_argument(
-        "--method",
-        choices=_METHODS,
-        default="adams",
-        help="integration scheme (default adams)",
     )
     sim.add_argument("--out", default=".", help="output directory for CSV files")
     sim.set_defaults(run=cmd_simulate)
@@ -135,11 +135,7 @@ def _parser() -> argparse.ArgumentParser:
 
     conv = sub.add_parser("convergence", help="empirical convergence order")
     _add_model_flags(conv, sweep=False)
-    conv.add_argument("--x0", type=float, required=True, help="initial value")
-    conv.add_argument("--t-final", type=float, required=True, help="end time > 0")
-    conv.add_argument(
-        "--method", choices=_METHODS, default="adams", help="integration scheme"
-    )
+    _add_run_flags(conv, sweep=False)
     conv.add_argument("--base-steps", type=int, default=32, help="coarsest grid size")
     conv.add_argument(
         "--refinements", type=int, default=4, help="number of dyadic refinements (>= 2)"
@@ -257,7 +253,7 @@ def main(argv: list[str] | None = None) -> int:
     except BlowUpError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, TypeError, ArithmeticError) as exc:
+    except (ValueError, TypeError, ArithmeticError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -238,9 +238,9 @@ def _reference_solution(ivp: FractionalIVP) -> float:
 
     Available for the linear law (a = b = 0, Mittag-Leffler solution) and,
     at alpha = 1, for the quadratic-free cubic a = 0 (logistic-type closed
-    form).  Anything else has no usable closed form here, and neither has a
-    solution that escapes to infinity by t_final or a closed form that
-    leaves double range.
+    form, whose terms stay in range at every c t).  Anything else has no
+    usable closed form here, and neither has a solution that escapes to
+    infinity by t_final or whose value there leaves double range.
     """
     coeffs = to_cubic(ivp.model)
     a, b, c = coeffs.a, coeffs.b, coeffs.c
@@ -249,19 +249,18 @@ def _reference_solution(ivp: FractionalIVP) -> float:
     if a == 0.0 and b == 0.0:
         return x0 * mittag_leffler(alpha, c * t**alpha)
     if alpha == 1.0 and a == 0.0:
-        if c == 0.0:
-            # dx/dt = b x**2 integrates to x0 / (1 - b x0 t).
-            num, den, den_at_0 = x0, 1.0 - b * x0 * t, 1.0
-        else:
-            try:
-                growth = math.exp(c * t)
-            except OverflowError:  # refused below as a non-finite term
-                growth = math.inf
-            num, den, den_at_0 = c * x0 * growth, c - b * x0 * (growth - 1.0), c
-        # The denominator is monotone in t: if it has reached zero or changed
-        # sign by t_final, the solution escaped before it.
-        if den / den_at_0 > 0.0 and math.isfinite(num) and math.isfinite(den):
-            return num / den
+        # 1/x solves y' = -c y - b, so x = x0 e^z / D with z = c t and
+        # D = 1 - b x0 (e^z - 1) / c, both scaled here by e^(-max(z, 0)) so
+        # that no exponential overflows.  g = (1 - e^(-|z|)) / |c| is t to
+        # double precision for |z| <= 1e-16 (c = 0, or a subnormal z that
+        # rounds coarsely).  D starts at 1 and is monotone in t, so the
+        # solution escaped iff D <= 0; an infinite D or quotient is refused.
+        z = c * t
+        g = -math.expm1(-abs(z)) / abs(c) if abs(z) > 1e-16 else t
+        den = math.exp(-max(z, 0.0)) - b * x0 * g
+        x = x0 * math.exp(min(z, 0.0)) / den if 0.0 < den < math.inf else math.inf
+        if math.isfinite(x):
+            return x
         raise ValueError(
             f"the closed-form reference escapes or leaves double range by t_final = {t:g}"
         )

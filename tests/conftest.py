@@ -4,7 +4,7 @@ Three independent sources of truth back the library code:
 
 * 60-digit partial sums of the Mittag-Leffler series (mpmath) for the linear
   relaxation problem,
-* classical closed forms at alpha = 1 (logistic and quadratic-linear laws),
+* the classical logistic closed form at alpha = 1,
 * a perturb-and-integrate probe that tags an equilibrium by whether nearby
   trajectories approach it or escape from it.
 
@@ -59,12 +59,6 @@ def classical_logistic(r: float, K: float, x0: float, t: float) -> float:
     """Exact solution of x' = r x (1 - x/K)."""
     e = math.exp(r * t)
     return K * x0 * e / (K + x0 * (e - 1.0))
-
-
-def classical_quadratic_linear(b: float, c: float, x0: float, t: float) -> float:
-    """Exact solution of x' = b x**2 + c x (c may not vanish)."""
-    e = math.exp(c * t)
-    return c * x0 * e / (c - b * x0 * (e - 1.0))
 
 
 def simulated_tag(

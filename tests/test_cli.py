@@ -518,11 +518,16 @@ def test_pece_overflow_exits_3_under_warnings_as_errors():
     )
 
 
+def readme_block(heading, language):
+    """The first ``language`` code block under the README's ``heading``."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split(f"## {heading}\n", 1)[1]
+    return section.split(f"```{language}\n", 1)[1].split("```", 1)[0]
+
+
 def readme_commands():
     """Each ``fracpop`` line of the README's command-line block, as a param."""
-    readme = Path(__file__).resolve().parents[1] / "README.md"
-    section = readme.read_text(encoding="utf-8").split("## Command line", 1)[1]
-    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    block = readme_block("Command line", "sh")
     lines = block.replace("\\\n", " ").splitlines()
     commands = [shlex.split(line)[1:] for line in lines if line.startswith("fracpop ")]
     assert len(commands) == 5
@@ -541,3 +546,33 @@ def test_readme_commands(argv, tmp_path, capsys):
     model = argv[argv.index("--model") + 1]
     want = {"logistic-harvest": 4, "allee-harvest": 16}.get(model, 0)
     assert len(list(tmp_path.glob("*.csv"))) == want
+
+
+def test_readme_library_quickstart(capsys):
+    exec(readme_block("Library quickstart", "python"), {})
+    lines = capsys.readouterr().out.splitlines()
+    # The final time and state, the two equilibria 0 and K (1 - E / r) = 6
+    # with their tags, then n_min = (2 |b| h + |c|)**(1 / alpha).
+    t_end, x_end = map(float, lines[0].split())
+    assert t_end == 50.0 and 4.0 < x_end < 6.0
+    assert [line.split()[2] for line in lines[1:3]] == ["U", "AS"]
+    assert float(lines[3]) == pytest.approx(2.25)
+    assert len(lines) == 4
+
+
+def test_grid_too_large_to_allocate(tmp_path, capsys):
+    # 1e15 steps need 7.1 PiB per array, beyond any address space, so NumPy
+    # refuses the first array at once and nothing is allocated.
+    steps = "1000000000000000"
+    for argv in (
+        ("simulate", "--model", "logistic", "--r", "0.5", "--K", "10", "--alpha", "1",
+         "--x0", "4", "--t-final", "10", "--n-steps", steps, "--out", str(tmp_path)),
+        ("convergence", "--model", "cubic", "--a", "0", "--b", "0", "--c", "-1",
+         "--alpha", "1", "--x0", "1", "--t-final", "1", "--base-steps", steps),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "allocate" in err
+        assert err.count("\n") == 1
+    assert not list(tmp_path.iterdir())

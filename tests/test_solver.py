@@ -1,8 +1,10 @@
 """Integrator correctness: oracles, reductions, properties, and failure modes."""
 
+import itertools
 import math
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -25,6 +27,7 @@ from fracpop import (
     solve,
     to_cubic,
 )
+from fracpop.solver import _reference_solution
 from fracpop.specfun import gamma
 
 ML_HALF_AT_MINUS_ONE = 0.42758357615580700441
@@ -499,10 +502,42 @@ def test_reference_refuses_an_escaped_solution(coeffs, x0, t_final):
 
 
 def test_reference_refuses_values_beyond_double_range():
-    # exp(c t) overflows although the solution has long escaped already.
+    # The solution escaped at t = 1.4e-297; by t_final both terms of the
+    # scaled denominator e^(-c t) - b x0 (1 - e^(-c t)) / c underflow to 0.
     ivp = FractionalIVP(1.0, Cubic(0.0, 1e-300, 1e300), 1.0, 1.0)
     with pytest.raises(ValueError, match="t_final = 1"):
         convergence_study(ivp, SolverMethod.FRAC_ADAMS_PECE, 32, 4)
+    # A finite solution whose value, about 4e309, overflows in the quotient.
+    ivp = FractionalIVP(1.0, Cubic(0.0, -1e-320, 1.0), 1e10, 690.0)
+    with pytest.raises(ValueError, match="t_final = 690"):
+        convergence_study(ivp, SolverMethod.FRAC_ADAMS_PECE, 32, 4)
+
+
+def test_quadratic_reference_matches_mpmath():
+    # x = x0 e^z / D with z = c t and D = 1 - b x0 (e^z - 1) / c, in 50
+    # digits: the solution has escaped by t exactly when D <= 0.  No x0 sits
+    # on an unstable equilibrium -c/b (c < 0), where the double D cancels.
+    escaped = 0
+    with mp.workdps(50):
+        for b, c, x0, t in itertools.product(
+            (1.0, -1.0, 0.3, -3.0),
+            (2.0, -1.0, 0.5, 1e-3, 0.0, -0.4),
+            (-4.0, -0.2, 0.7, 2.5),
+            (0.1, 1.0, 8.0, 60.0),
+        ):
+            ivp = FractionalIVP(1.0, Cubic(0.0, b, c), x0, t)
+            z = mp.mpf(c) * t
+            den = 1 - mp.mpf(b) * x0 * (mp.expm1(z) / c if c else t)
+            if den <= 0:
+                escaped += 1
+                with pytest.raises(ValueError, match="escapes"):
+                    _reference_solution(ivp)
+            else:
+                exact = x0 * mp.exp(z) / den
+                assert abs(_reference_solution(ivp) - exact) <= 1e-13 * abs(exact), (b, c, x0, t)
+    assert 0 < escaped < 384
+    # The logistic reference past c t = 709.8, where e^(c t) overflows.
+    assert _reference_solution(FractionalIVP(1.0, Logistic(0.5, 10.0), 4.0, 2000.0)) == 10.0
 
 
 def test_estimate_order_requires_reference():
