@@ -33,7 +33,7 @@ from .models import (
     existence_bound,
     to_cubic,
 )
-from .solver import BlowUpError, Grid, SolverMethod, Trajectory, convergence_study, solve
+from .solver import BlowUpError, SolverMethod, Trajectory, convergence_study, solve
 from .stability import classify_all
 
 __all__ = ["main"]
@@ -167,8 +167,8 @@ def _write_csv(path: Path, trajectory: Trajectory) -> None:
 
 
 def cmd_simulate(args: argparse.Namespace) -> None:
-    """Solve and write each sweep member.  Every member, its CSV path and the
-    grid are built first, so a bad value fails before any write."""
+    """Build every sweep member and its CSV path, then solve and write each.
+    The first solve validates the grid, so a bad value fails before any write."""
     efforts = args.E or (None,)
     models = [_build_model(args, E=effort) for effort in efforts]
     out_dir = Path(args.out)
@@ -188,17 +188,17 @@ def cmd_simulate(args: argparse.Namespace) -> None:
     # t_final is validated by now, so the default step count can use it.  It is
     # capped before rounding, as 10 * t_final may overflow to inf.
     default_steps = max(1, round(min(_MAX_DEFAULT_STEPS, 10.0 * args.t_final)))
-    grid = Grid(default_steps if args.n_steps is None else args.n_steps, args.t_final)
+    n_steps = default_steps if args.n_steps is None else args.n_steps
     method = SolverMethod(args.method)
-    out_dir.mkdir(parents=True, exist_ok=True)
     for path, (ivp, label) in members.items():
         try:
-            trajectory = solve(ivp, grid.n_steps, method)
+            trajectory = solve(ivp, n_steps, method)
         except BlowUpError as exc:
             detail = ", ".join(f"{name}={text}" for name, text in label.items())
             # Name the member; main maps every blow-up to exit 3.
             exc.args = (f"simulate failed ({detail}): {exc}",)
             raise
+        out_dir.mkdir(parents=True, exist_ok=True)
         _write_csv(path, trajectory)
         print(f"wrote {path}")
 

@@ -240,12 +240,16 @@ def _reference_solution(ivp: FractionalIVP) -> float:
     at alpha = 1, for the quadratic-free cubic a = 0 (logistic-type closed
     form, whose terms stay in range at every c t).  Anything else has no
     usable closed form here, and neither has a solution that escapes to
-    infinity by t_final or whose value there leaves double range.
+    infinity by t_final, whose value there leaves double range or whose
+    closed form is too ill-conditioned to trust.  From x0 = 0 the reference
+    is 0 for every model, since f(0) = 0.
     """
     coeffs = to_cubic(ivp.model)
     a, b, c = coeffs.a, coeffs.b, coeffs.c
     x0, alpha, t = ivp.x0, ivp.alpha, ivp.t_final
 
+    if x0 == 0.0:
+        return x0
     if a == 0.0 and b == 0.0:
         return x0 * mittag_leffler(alpha, c * t**alpha)
     if alpha == 1.0 and a == 0.0:
@@ -254,15 +258,19 @@ def _reference_solution(ivp: FractionalIVP) -> float:
         # that no exponential overflows.  g = (1 - e^(-|z|)) / |c| is t to
         # double precision for |z| <= 1e-16 (c = 0, or a subnormal z that
         # rounds coarsely).  D starts at 1 and is monotone in t, so the
-        # solution escaped iff D <= 0; an infinite D or quotient is refused.
+        # solution escaped iff D <= 0.  top / den is x's condition number in
+        # x0, so den must exceed 2.3e-6 * top for eps * top / den <= 1e-10,
+        # mittag_leffler's accuracy rule; an infinite D or quotient is refused.
         z = c * t
         g = -math.expm1(-abs(z)) / abs(c) if abs(z) > 1e-16 else t
-        den = math.exp(-max(z, 0.0)) - b * x0 * g
-        x = x0 * math.exp(min(z, 0.0)) / den if 0.0 < den < math.inf else math.inf
+        top = math.exp(-max(z, 0.0))
+        den = top - b * x0 * g
+        x = x0 * math.exp(min(z, 0.0)) / den if 2.3e-6 * top < den < math.inf else math.inf
         if math.isfinite(x):
             return x
         raise ValueError(
-            f"the closed-form reference escapes or leaves double range by t_final = {t:g}"
+            "the closed-form reference escapes, is ill-conditioned or leaves "
+            f"double range by t_final = {t:g}"
         )
     raise ValueError(
         "no closed-form reference for this problem: need a = b = 0, or "

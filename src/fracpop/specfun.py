@@ -39,9 +39,9 @@ def mittag_leffler(alpha: float, z: float) -> float:
     E_alpha(z) = sum_k z**k / Gamma(alpha*k + 1), summed until a term drops
     below 1e-16 of the running sum, with a hard cap of 200 terms.  Arguments
     outside alpha in (0, 1] and |z| <= 30 raise ValueError.  Inside that box
-    the series must also deliver 1e-10 absolute accuracy, or an
-    ArithmeticError is raised rather than a silently wrong value.  That
-    check sets the usable domain, on either axis: it raises from about
+    the series must also deliver 1e-10 absolute accuracy within those 200
+    terms, or an ArithmeticError is raised rather than a silently wrong
+    value.  That check sets the usable domain, on either axis: it raises from about
     |z| = 1.7 at alpha = 0.25, 2.1 at 0.3, 3.9 at 0.5, 7.7 at 0.75, 11.6 at
     0.9 and 15.2 at 1 (so ``mittag_leffler(0.5, -3.8)`` returns and
     ``mittag_leffler(0.5, -4.0)`` raises).
@@ -55,26 +55,16 @@ def mittag_leffler(alpha: float, z: float) -> float:
 
     terms = [1.0]
     running = 1.0
-    converged = False
     for k in range(1, _ML_MAX_TERMS + 1):
-        try:
-            denom = gamma(alpha * k + 1.0)
-        except OverflowError:
-            # Denominator past double range: the remaining terms are zero.
-            converged = True
-            break
-        term = z**k / denom
+        term = z**k / gamma(alpha * k + 1.0)
         terms.append(term)
         if abs(term) < _ML_STOP_FACTOR * abs(running):
-            converged = True
+            # eps * peak bounds the cancellation error of the compensated sum.
+            if max(map(abs, terms)) * 2.3e-16 <= _ML_ABS_TOL:
+                return math.fsum(terms)
             break
         running += term
-
-    peak = max(abs(term) for term in terms)
-    # eps * peak bounds the cancellation error of the compensated sum.
-    if not converged or peak * 2.3e-16 > _ML_ABS_TOL:
-        raise ArithmeticError(
-            f"Mittag-Leffler series did not reach 1e-10 accuracy for "
-            f"alpha={alpha!r}, z={z!r} within {_ML_MAX_TERMS} terms"
-        )
-    return math.fsum(terms)
+    raise ArithmeticError(
+        f"Mittag-Leffler series did not reach 1e-10 accuracy for "
+        f"alpha={alpha!r}, z={z!r} within {_ML_MAX_TERMS} terms"
+    )

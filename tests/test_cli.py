@@ -188,6 +188,8 @@ def test_simulate_blowup_exit_code(tmp_path, capsys):
     )
     assert code == 3
     assert "state blew up at step 1 (t = 2e+303)" in err
+    # --out is created with the first CSV, so a first-member blow-up leaves none.
+    assert not (tmp_path / "huge").exists()
 
 
 def test_simulate_flag_validation(tmp_path, capsys):
@@ -206,6 +208,11 @@ def test_simulate_flag_validation(tmp_path, capsys):
     assert code == 2
     code, _, _ = run_cli(capsys, "simulate", "--model", "wrong", "--x0", "1", "--t-final", "1")
     assert code == 2
+    code, out, err = run_cli(capsys, "simulate", "--model", "logistic", "--r", "0.5",
+                             "--K", "10", "--x0", ",", "--t-final", "1", "--out", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.endswith("error: argument --x0: empty value list: ','\n")
 
 
 def test_simulate_validates_whole_sweep_before_writing(tmp_path, capsys):
@@ -249,6 +256,15 @@ def test_simulate_unwritable_output_exit_code(tmp_path, capsys):
     )
     assert code == 4
     assert err
+    # The first solve runs before --out is created, so a blow-up there wins.
+    code, _, err = run_cli(
+        capsys,
+        "simulate", "--model", "cubic", "--a", "1", "--b", "0", "--c", "1",
+        "--alpha", "1", "--x0", "2", "--t-final", "10", "--n-steps", "100",
+        "--out", str(blocker),
+    )
+    assert code == 3
+    assert "state blew up" in err
 
 
 def test_equilibria_logistic_report(capsys):
@@ -273,6 +289,21 @@ def test_equilibria_allee_report(capsys):
         assert [(round(x, 9), tag) for x, tag in reports] == [
             (0.0, "AS"), (1.0, "U"), (10.0, "AS")
         ]
+
+
+def test_equilibria_prints_multiplicity(capsys):
+    # x**3 has a triple root at 0; x (x - 1)**2 a simple root at 0 and a
+    # double one at 1.
+    for flags, want in (
+        (("1", "0", "0"), ["x_eq = 0\tlambda = 0\tINC\t(multiplicity 3)"]),
+        (("1", "-2", "1"), ["x_eq = 0\tlambda = 1\tU",
+                            "x_eq = 1\tlambda = 0\tINC\t(multiplicity 2)"]),
+    ):
+        a, b, c = flags
+        code, out, _ = run_cli(capsys, "equilibria", "--model", "cubic", "--a", a,
+                               "--b", b, "--c", c, "--alpha", "0.5")
+        assert code == 0
+        assert [line for line in out.splitlines() if line.startswith("x_eq")] == want
 
 
 def test_equilibria_degenerate_exit_code(capsys):
@@ -385,6 +416,15 @@ def test_convergence_exact_solve_prints_nan_order(capsys):
     assert err == ""
     assert [line.endswith("error = 0") for line in out.splitlines()].count(True) == 5
     assert out.endswith("\norder = nan\n")
+    # Also where e^(-c t) underflows: the zero solution needs no closed form.
+    code, out, err = run_cli(
+        capsys, "convergence", "--model", "logistic", "--r", "0.5", "--K", "10",
+        "--alpha", "1", "--x0", "0", "--t-final", "2000", "--base-steps", "1",
+        "--refinements", "2",
+    )
+    assert code == 0
+    assert err == ""
+    assert out.endswith("error = 0\norder = nan\n")
 
 
 def test_convergence_requires_reference(capsys):
@@ -402,6 +442,17 @@ def test_convergence_requires_reference(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: |z| <= 30 required, got -40.0\n"
+    # On the unstable equilibrium x0 = -c/b the closed form cancels.
+    code, out, err = run_cli(
+        capsys, "convergence", "--model", "cubic", "--a", "0", "--b", "1", "--c", "-1",
+        "--alpha", "1", "--x0", "1", "--t-final", "30",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: the closed-form reference escapes, is ill-conditioned or leaves "
+        "double range by t_final = 30\n"
+    )
 
 
 def test_regime_sweep_smoke_matrix(tmp_path, capsys):
@@ -566,7 +617,7 @@ def test_grid_too_large_to_allocate(tmp_path, capsys):
     steps = "1000000000000000"
     for argv in (
         ("simulate", "--model", "logistic", "--r", "0.5", "--K", "10", "--alpha", "1",
-         "--x0", "4", "--t-final", "10", "--n-steps", steps, "--out", str(tmp_path)),
+         "--x0", "4", "--t-final", "10", "--n-steps", steps, "--out", str(tmp_path / "out")),
         ("convergence", "--model", "cubic", "--a", "0", "--b", "0", "--c", "-1",
          "--alpha", "1", "--x0", "1", "--t-final", "1", "--base-steps", steps),
     ):
@@ -575,4 +626,5 @@ def test_grid_too_large_to_allocate(tmp_path, capsys):
         assert out == ""
         assert err.startswith("error: ") and "allocate" in err
         assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
     assert not list(tmp_path.iterdir())

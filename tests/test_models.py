@@ -55,6 +55,11 @@ def test_reduction_cubic_identity():
     assert to_cubic(model) is model
 
 
+def test_reduction_refuses_unknown_model():
+    with pytest.raises(TypeError, match="unsupported model"):
+        to_cubic(object())
+
+
 def test_reduction_allee_harvest():
     got = to_cubic(AlleeHarvest(0.5, 10.0, 1.0, 0.2))
     assert got.a == -0.05

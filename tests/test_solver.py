@@ -471,11 +471,18 @@ def test_estimate_order_quadratic_closed_forms():
 
 
 def test_convergence_study_exact_solve_has_no_order():
-    # Every error is exactly zero, so there is no slope to fit.
+    # Every error is exactly zero, so there is no slope to fit.  From x0 = 0
+    # the reference is 0 for every model: also where e^(-c t) underflows
+    # (c t = 1000), where the series refuses (z = -4.47) and where no other
+    # closed form exists (alpha = 0.5 with b != 0).
     for ivp in (
         FractionalIVP(0.5, LINEAR_DECAY, 0.0, 1.0),
         FractionalIVP(1.0, LogisticHarvest(0.5, 10.0, 0.2), 0.0, 1.0),
         FractionalIVP(0.5, Cubic(0.0, 0.0, 0.0), 3.0, 1.0),
+        FractionalIVP(1.0, Logistic(0.5, 10.0), 0.0, 2000.0),
+        FractionalIVP(0.5, LINEAR_DECAY, 0.0, 20.0),
+        FractionalIVP(0.5, Logistic(0.5, 10.0), 0.0, 5.0),
+        FractionalIVP(0.5, Allee(0.5, 10.0, 1.0), 0.0, 5.0),
     ):
         for method in SolverMethod:
             ns, _, errors, order = convergence_study(ivp, method, 8, 2)
@@ -499,6 +506,15 @@ def test_reference_refuses_an_escaped_solution(coeffs, x0, t_final):
     ivp = FractionalIVP(1.0, Cubic(*coeffs), x0, t_final)
     with pytest.raises(ValueError, match=f"t_final = {t_final:g}"):
         convergence_study(ivp, SolverMethod.FRAC_EULER, 1, 2)
+
+
+def test_reference_refuses_an_ill_conditioned_solution():
+    # x0 = -c/b = 1 is an unstable equilibrium, so x(t) = 1, but the scaled
+    # denominator 1 - (1 - e^(-30)) cancels to 9.4e-14 against 1: x is that
+    # ill-conditioned in x0, and the closed form in doubles is off by 1.7e-4.
+    ivp = FractionalIVP(1.0, Cubic(0.0, 1.0, -1.0), 1.0, 30.0)
+    with pytest.raises(ValueError, match="ill-conditioned .* t_final = 30"):
+        _reference_solution(ivp)
 
 
 def test_reference_refuses_values_beyond_double_range():

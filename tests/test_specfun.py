@@ -114,3 +114,7 @@ def test_ml_raises_when_series_cannot_deliver():
     for alpha, z in [(0.25, -25.0), (0.3, 28.0)]:
         with pytest.raises(ArithmeticError):
             mittag_leffler(alpha, z)
+    # Tiny alpha at |z| < 1: no term exceeds 1, so cancellation is harmless,
+    # but the terms shrink like 0.9**k and 200 of them stop short of 1e-16.
+    with pytest.raises(ArithmeticError, match="within 200 terms"):
+        mittag_leffler(0.02, -0.9)
