@@ -110,7 +110,6 @@ def _parser() -> argparse.ArgumentParser:
     sim.add_argument(
         "--n-steps",
         type=int,
-        default=None,
         help="grid steps (default: 10 per time unit, capped at 50000)",
     )
     sim.add_argument("--out", default=".", help="output directory for CSV files")
@@ -125,7 +124,6 @@ def _parser() -> argparse.ArgumentParser:
     bnd.add_argument(
         "--h-state",
         type=float,
-        default=None,
         help="state-ball half-width (default 1.2*max(|x0|, K) for named models)",
     )
     bnd.add_argument(
@@ -169,22 +167,20 @@ def _write_csv(path: Path, trajectory: Trajectory) -> None:
 def cmd_simulate(args: argparse.Namespace) -> None:
     """Build every sweep member and its CSV path, then solve and write each.
     The first solve validates the grid, so a bad value fails before any write."""
-    efforts = args.E or (None,)
-    models = [_build_model(args, E=effort) for effort in efforts]
     out_dir = Path(args.out)
     members: dict[Path, tuple[FractionalIVP, dict[str, str]]] = {}
-    for (effort, model), alpha, x0 in itertools.product(
-        zip(efforts, models), args.alpha, args.x0
-    ):
-        ivp = FractionalIVP(alpha=alpha, model=model, x0=x0, t_final=args.t_final)
-        swept = {"alpha": alpha, "x0": x0, "E": effort}
-        label = {name: f"{value:g}" for name, value in swept.items() if value is not None}
-        # File names keep 6 significant digits, so distinct values can collide.
-        stem = "_".join([args.model, *(name + text for name, text in label.items())])
-        path = out_dir / f"{stem}.csv"
-        if path in members:
-            raise ValueError(f"two sweep members would both write {path.name}")
-        members[path] = (ivp, label)
+    for effort in args.E or (None,):
+        model = _build_model(args, E=effort)
+        for alpha, x0 in itertools.product(args.alpha, args.x0):
+            ivp = FractionalIVP(alpha=alpha, model=model, x0=x0, t_final=args.t_final)
+            swept = {"alpha": alpha, "x0": x0, "E": effort}
+            label = {name: f"{value:g}" for name, value in swept.items() if value is not None}
+            # File names keep 6 significant digits, so distinct values can collide.
+            stem = "_".join([args.model, *(name + text for name, text in label.items())])
+            path = out_dir / f"{stem}.csv"
+            if path in members:
+                raise ValueError(f"two sweep members would both write {path.name}")
+            members[path] = (ivp, label)
     # t_final is validated by now, so the default step count can use it.  It is
     # capped before rounding, as 10 * t_final may overflow to inf.
     default_steps = max(1, round(min(_MAX_DEFAULT_STEPS, 10.0 * args.t_final)))
@@ -219,12 +215,7 @@ def cmd_equilibria(args: argparse.Namespace) -> None:
 
 def cmd_bound(args: argparse.Namespace) -> None:
     model = _build_model(args)
-    h_state = args.h_state
-    if h_state is None:
-        try:
-            h_state = default_h_state(model, args.x0)
-        except ValueError as exc:
-            raise ValueError(f"{exc}; use --h-state") from exc
+    h_state = default_h_state(model, args.x0) if args.h_state is None else args.h_state
     report = existence_bound(to_cubic(model), h_state, args.alpha)
     print(f"model = {args.model}, alpha = {args.alpha:g}")
     print(f"h_state = {report.h_state:.12g}")
@@ -250,13 +241,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         args.run(args)
-    except BlowUpError as exc:
+    except (ValueError, ArithmeticError, MemoryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (ValueError, TypeError, ArithmeticError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return 3 if isinstance(exc, BlowUpError) else 4 if isinstance(exc, OSError) else 2
     return 0

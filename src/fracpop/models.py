@@ -229,4 +229,4 @@ def default_h_state(model: ModelSpec, x0: float = 0.0) -> float:
     x0 = _check("x0", x0)
     if isinstance(model, (Logistic, LogisticHarvest, Allee, AlleeHarvest)):
         return 1.2 * max(abs(x0), model.K)
-    raise ValueError("no default state half-width for a raw cubic model")
+    raise ValueError("no default h_state for a raw cubic model")

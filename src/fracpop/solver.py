@@ -236,13 +236,13 @@ def solve(ivp: FractionalIVP, n_steps: int, method: SolverMethod) -> Trajectory:
 def _reference_solution(ivp: FractionalIVP) -> float:
     """Closed-form solution at t_final, the convergence-study reference.
 
-    Available for the linear law (a = b = 0, Mittag-Leffler solution) and,
-    at alpha = 1, for the quadratic-free cubic a = 0 (logistic-type closed
-    form, whose terms stay in range at every c t).  Anything else has no
-    usable closed form here, and neither has a solution that escapes to
-    infinity by t_final, whose value there leaves double range or whose
-    closed form is too ill-conditioned to trust.  From x0 = 0 the reference
-    is 0 for every model, since f(0) = 0.
+    Available at alpha = 1 for the quadratic-free cubic a = 0 (logistic-type
+    closed form, whose terms stay in range at every c t; exponential if
+    b = 0), and at alpha < 1 for the linear law a = b = 0 (Mittag-Leffler).
+    Anything else has no usable closed form here, and neither has a solution
+    that escapes to infinity by t_final, whose value there leaves double
+    range or whose closed form is too ill-conditioned to trust.  From x0 = 0
+    the reference is 0 for every model, since f(0) = 0.
     """
     coeffs = to_cubic(ivp.model)
     a, b, c = coeffs.a, coeffs.b, coeffs.c
@@ -250,8 +250,6 @@ def _reference_solution(ivp: FractionalIVP) -> float:
 
     if x0 == 0.0:
         return x0
-    if a == 0.0 and b == 0.0:
-        return x0 * mittag_leffler(alpha, c * t**alpha)
     if alpha == 1.0 and a == 0.0:
         # 1/x solves y' = -c y - b, so x = x0 e^z / D with z = c t and
         # D = 1 - b x0 (e^z - 1) / c, both scaled here by e^(-max(z, 0)) so
@@ -272,6 +270,8 @@ def _reference_solution(ivp: FractionalIVP) -> float:
             "the closed-form reference escapes, is ill-conditioned or leaves "
             f"double range by t_final = {t:g}"
         )
+    if a == 0.0 and b == 0.0:
+        return x0 * mittag_leffler(alpha, c * t**alpha)
     raise ValueError(
         "no closed-form reference for this problem: need a = b = 0, or "
         "alpha = 1 with a = 0"
@@ -294,9 +294,9 @@ def convergence_study(
     if refinements < 2:
         raise ValueError(f"refinements must be >= 2, got {refinements!r}")
     # The reference is evaluated before any solve, so a refused one fails
-    # before any work.  For the linear law mittag_leffler's 1e-10 accuracy
-    # check (ArithmeticError) refuses long before its |z| <= 30 domain check
-    # (ValueError): past about z = -3.9 at alpha = 0.5.
+    # before any work.  For the linear law at alpha < 1 mittag_leffler's
+    # 1e-10 accuracy check (ArithmeticError) refuses long before its
+    # |z| <= 30 domain check (ValueError): past about z = -3.9 at alpha = 0.5.
     exact = _reference_solution(ivp)
     ns = [base_steps * 2**k for k in range(refinements + 1)]
     hs = [ivp.t_final / n for n in ns]

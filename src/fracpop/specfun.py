@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 
+from .models import _check
+
 __all__ = ["gamma", "mittag_leffler"]
 
 
@@ -46,10 +48,8 @@ def mittag_leffler(alpha: float, z: float) -> float:
     0.9 and 15.2 at 1 (so ``mittag_leffler(0.5, -3.8)`` returns and
     ``mittag_leffler(0.5, -4.0)`` raises).
     """
-    alpha = float(alpha)
+    alpha = _check("alpha", alpha)
     z = float(z)
-    if not (0.0 < alpha <= 1.0):
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha!r}")
     if not (abs(z) <= _ML_MAX_ABS_Z):
         raise ValueError(f"|z| <= {_ML_MAX_ABS_Z:g} required, got {z!r}")
 

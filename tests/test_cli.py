@@ -356,7 +356,17 @@ def test_bound_cubic_requires_half_width(capsys):
         "--alpha", "0.5",
     )
     assert code == 2
-    assert err == "error: no default state half-width for a raw cubic model; use --h-state\n"
+    assert err == "error: no default h_state for a raw cubic model\n"
+
+
+def test_bound_reports_library_refusal_unwrapped(capsys):
+    code, out, err = run_cli(
+        capsys, "bound", "--model", "logistic", "--r", "0.5", "--K", "10",
+        "--alpha", "0.5", "--x0", "nan",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: x0 must be finite, got nan\n"
 
 
 def test_bound_beyond_double_range(capsys):
@@ -427,6 +437,18 @@ def test_convergence_exact_solve_prints_nan_order(capsys):
     assert out.endswith("error = 0\norder = nan\n")
 
 
+def test_convergence_linear_reference_at_order_one_is_exponential(capsys):
+    # At alpha = 1 the linear law's reference is x0 e^(c t), with no series
+    # limit on the horizon.
+    code, out, err = run_cli(
+        capsys, "convergence", "--model", "cubic", "--a", "0", "--b", "0", "--c", "-1",
+        "--alpha", "1", "--x0", "1", "--t-final", "20",
+    )
+    assert code == 0
+    assert err == ""
+    assert sum(line.startswith("n = ") for line in out.splitlines()) == 5
+
+
 def test_convergence_requires_reference(capsys):
     code, _, err = run_cli(
         capsys, "convergence", "--model", "allee", "--r", "0.5", "--K", "10",
@@ -434,14 +456,25 @@ def test_convergence_requires_reference(capsys):
     )
     assert code == 2
     assert "closed-form" in err
-    # The linear law's reference is limited by the Mittag-Leffler domain.
+    # Below alpha = 1 the linear law's reference is limited by the
+    # Mittag-Leffler domain, and inside it by the series' accuracy.
     code, out, err = run_cli(
         capsys, "convergence", "--model", "cubic", "--a", "0", "--b", "0", "--c", "-40",
-        "--alpha", "1", "--x0", "1", "--t-final", "1",
+        "--alpha", "0.5", "--x0", "1", "--t-final", "1",
     )
     assert code == 2
     assert out == ""
     assert err == "error: |z| <= 30 required, got -40.0\n"
+    code, out, err = run_cli(
+        capsys, "convergence", "--model", "cubic", "--a", "0", "--b", "0", "--c", "-1",
+        "--alpha", "0.5", "--x0", "1", "--t-final", "20",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: Mittag-Leffler series did not reach 1e-10 accuracy for "
+        "alpha=0.5, z=-4.47213595499958 within 200 terms\n"
+    )
     # On the unstable equilibrium x0 = -c/b the closed form cancels.
     code, out, err = run_cli(
         capsys, "convergence", "--model", "cubic", "--a", "0", "--b", "1", "--c", "-1",
