@@ -12,8 +12,6 @@ Exit codes: 0 success, 2 bad arguments, an unusable model or a grid too
 large to allocate, 3 numerical blow-up, 4 filesystem failure.
 """
 
-from __future__ import annotations
-
 import argparse
 import functools
 import itertools
@@ -238,7 +236,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else 0
+        return int(exc.code)
     try:
         args.run(args)
     except (ValueError, ArithmeticError, MemoryError, OSError) as exc:

@@ -11,11 +11,8 @@ consume.
 solution on a state ball of half-width h around the origin.
 """
 
-from __future__ import annotations
-
 import math
 from dataclasses import dataclass, fields
-from typing import Union
 
 __all__ = [
     "Cubic",
@@ -137,7 +134,7 @@ class AlleeHarvest:
     __post_init__ = _validate_fields
 
 
-ModelSpec = Union[Cubic, Logistic, LogisticHarvest, Allee, AlleeHarvest]
+ModelSpec = Cubic | Logistic | LogisticHarvest | Allee | AlleeHarvest
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,6 @@ rectangle and trapezoid weights, so the schemes reduce to forward Euler and
 to the one-step trapezoidal predictor-corrector written in integral form.
 """
 
-from __future__ import annotations
-
 import math
 from dataclasses import dataclass
 from enum import Enum

@@ -7,8 +7,6 @@ solution of the linear fractional relaxation problem, which the test oracles
 and convergence studies lean on.
 """
 
-from __future__ import annotations
-
 import math
 
 from .models import _check

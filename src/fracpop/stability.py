@@ -13,8 +13,6 @@ with no absolute floor.  Rescaling time multiplies a, b and c by one positive
 factor, so it changes no equilibrium, tag or multiplicity.
 """
 
-from __future__ import annotations
-
 import math
 from dataclasses import dataclass
 from enum import Enum
