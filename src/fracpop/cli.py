@@ -183,10 +183,9 @@ def cmd_simulate(args: argparse.Namespace) -> None:
     # capped before rounding, as 10 * t_final may overflow to inf.
     default_steps = max(1, round(min(_MAX_DEFAULT_STEPS, 10.0 * args.t_final)))
     n_steps = default_steps if args.n_steps is None else args.n_steps
-    method = SolverMethod(args.method)
     for path, (ivp, label) in members.items():
         try:
-            trajectory = solve(ivp, n_steps, method)
+            trajectory = solve(ivp, n_steps, args.method)
         except BlowUpError as exc:
             detail = ", ".join(f"{name}={text}" for name, text in label.items())
             # Name the member; main maps every blow-up to exit 3.
@@ -224,8 +223,7 @@ def cmd_bound(args: argparse.Namespace) -> None:
 def cmd_convergence(args: argparse.Namespace) -> None:
     model = _build_model(args)
     ivp = FractionalIVP(alpha=args.alpha, model=model, x0=args.x0, t_final=args.t_final)
-    method = SolverMethod(args.method)
-    ns, hs, errors, order = convergence_study(ivp, method, args.base_steps, args.refinements)
+    ns, hs, errors, order = convergence_study(ivp, args.method, args.base_steps, args.refinements)
     print(f"model = {args.model}, alpha = {args.alpha:g}, method = {args.method}")
     for n, h, err in zip(ns, hs, errors):
         print(f"n = {n:<8d} h = {h:<12.6g} error = {err:.6g}")

@@ -137,11 +137,11 @@ def _add_far(f: np.ndarray, kernels: list, lo: int, b: int) -> None:
                 far[t0:t1] += np.fft.irfft(src * weights, size)[c - 1 : c - 1 + t1 - t0]
 
 
-def solve(ivp: FractionalIVP, n_steps: int, method: SolverMethod) -> Trajectory:
+def solve(ivp: FractionalIVP, n_steps: int, method: SolverMethod | str) -> Trajectory:
     """Integrate ``ivp`` on ``n_steps`` uniform steps with the chosen scheme.
 
-    Both schemes share the rectangle-rule predictor (prefactor
-    h**alpha / Gamma(alpha + 1))
+    ``method``, a ``SolverMethod`` or its value, picks one of two schemes that
+    share the rectangle-rule predictor (prefactor h**alpha / Gamma(alpha + 1))
 
         u_{n+1} = u_0 + h**alpha / Gamma(alpha + 1)
                   * sum_{j<=n} ((n+1-j)**alpha - (n-j)**alpha) * f(u_j)
@@ -158,9 +158,7 @@ def solve(ivp: FractionalIVP, n_steps: int, method: SolverMethod) -> Trajectory:
     applied to f at the corrected history plus the predicted endpoint.  Only
     the accepted state is checked for blow-up.
     """
-    if not isinstance(method, SolverMethod):
-        raise ValueError(f"unknown solver method {method!r}")
-    corrected = method is SolverMethod.FRAC_ADAMS_PECE
+    corrected = SolverMethod(method) is SolverMethod.FRAC_ADAMS_PECE
     grid = Grid(n_steps, ivp.t_final)
     coeffs = to_cubic(ivp.model)
     alpha = ivp.alpha
@@ -278,7 +276,7 @@ def _reference_solution(ivp: FractionalIVP) -> float:
 
 def convergence_study(
     ivp: FractionalIVP,
-    method: SolverMethod,
+    method: SolverMethod | str,
     base_steps: int,
     refinements: int,
 ) -> tuple[list[int], list[float], list[float], float]:
@@ -306,7 +304,7 @@ def convergence_study(
 
 def estimate_order(
     ivp: FractionalIVP,
-    method: SolverMethod,
+    method: SolverMethod | str,
     base_steps: int,
     refinements: int,
 ) -> float:

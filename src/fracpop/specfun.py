@@ -21,10 +21,7 @@ def gamma(t: float) -> float:
     accepted, and arguments past about 171.6, where the value leaves double
     range, raise OverflowError.
     """
-    t = float(t)
-    if not (math.isfinite(t) and t > 0.0):
-        raise ValueError(f"gamma is defined here for t > 0 only, got {t!r}")
-    return math.gamma(t)
+    return math.gamma(_check("t", t))
 
 
 _ML_MAX_TERMS = 200

@@ -140,7 +140,8 @@ def harvest_threshold(r: float, K: float, m: float) -> float:
     finder reports with multiplicity 2 and an inconclusive tag.
     """
     model = Allee(r, K, m)
-    return model.r / (4.0 * model.K) * (model.K - model.m) ** 2
+    gap = model.K - model.m  # gap * gap overflows to inf where gap ** 2 raises
+    return _check("harvest threshold", model.r / (4.0 * model.K) * (gap * gap))
 
 
 def logistic_harvest_equilibrium(r: float, K: float, E: float) -> float:
@@ -150,4 +151,4 @@ def logistic_harvest_equilibrium(r: float, K: float, E: float) -> float:
     the equilibrium leaves the admissible state space) once E > r.
     """
     model = LogisticHarvest(r, K, E)
-    return model.K * (1.0 - model.E / model.r)
+    return _check("equilibrium", model.K * (1.0 - model.E / model.r))

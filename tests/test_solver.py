@@ -125,17 +125,20 @@ def test_equilibrium_fixed_points():
 
 
 def test_dispatch_identity():
-    # The method alone selects the scheme: members looked up by value run the
-    # same scheme bit for bit, the two schemes differ, and a non-member is
-    # refused.
+    # The method alone selects the scheme: a member, the member looked up by
+    # value and the bare value run the same scheme bit for bit, the two
+    # schemes differ, and any other value is refused.
     ivp = FractionalIVP(0.7, Logistic(0.5, 10.0), 4.0, 10.0)
     euler = solve(ivp, 100, SolverMethod.FRAC_EULER).values
     adams = solve(ivp, 100, SolverMethod.FRAC_ADAMS_PECE).values
     assert np.array_equal(solve(ivp, 100, SolverMethod("euler")).values, euler)
     assert np.array_equal(solve(ivp, 100, SolverMethod("adams")).values, adams)
+    assert np.array_equal(solve(ivp, 100, "euler").values, euler)
+    assert np.array_equal(solve(ivp, 100, "adams").values, adams)
     assert not np.array_equal(euler, adams)
-    with pytest.raises(ValueError):
-        solve(ivp, 100, "adams")
+    for bad in ("pece", None):
+        with pytest.raises(ValueError, match="is not a valid SolverMethod"):
+            solve(ivp, 100, bad)
 
 
 def transcribed_scheme(ivp, n, corrected):

@@ -1,6 +1,7 @@
 """Gamma and Mittag-Leffler accuracy, identities, and domain policing."""
 
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -52,8 +53,10 @@ def test_gamma_recurrence():
 
 
 def test_gamma_rejects_bad_arguments():
+    # models._check owns the rule, so each refusal names the argument t.
     for bad in (0.0, -1.0, -0.5, float("nan"), float("inf")):
-        with pytest.raises(ValueError):
+        rule = "positive" if math.isfinite(bad) else "finite"
+        with pytest.raises(ValueError, match=re.escape(f"t must be {rule}, got {bad!r}")):
             gamma(bad)
 
 

@@ -236,6 +236,9 @@ def test_harvest_threshold_validation():
         for args in ((bad, 10.0, 1.0), (0.5, bad, 1.0), (0.5, 10.0, bad)):
             with pytest.raises(ValueError):
                 harvest_threshold(*args)
+    # (K - m)**2 past double range: refused, not a bare OverflowError.
+    with pytest.raises(ValueError, match="harvest threshold must be finite, got inf"):
+        harvest_threshold(1e300, 1e300, 1.0)
 
 
 def test_harvest_threshold_splits_equilibrium_structure():
@@ -282,3 +285,6 @@ def test_logistic_harvest_equilibrium_validation():
         for args in ((bad, 10.0, 0.2), (0.5, bad, 0.2), (0.5, 10.0, bad)):
             with pytest.raises(ValueError):
                 logistic_harvest_equilibrium(*args)
+    # E / r past double range: refused, not returned as -inf.
+    with pytest.raises(ValueError, match="equilibrium must be finite, got -inf"):
+        logistic_harvest_equilibrium(1e-300, 1e300, 1e300)
