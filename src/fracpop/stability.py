@@ -24,7 +24,6 @@ __all__ = [
     "DegenerateModelError",
     "EquilibriumReport",
     "equilibria",
-    "classify",
     "classify_all",
     "harvest_threshold",
     "logistic_harvest_equilibrium",
@@ -51,27 +50,22 @@ class EquilibriumReport:
     multiplicity: int
 
 
-def _check_root(coeffs: Cubic, x: float, error: type[Exception]) -> None:
-    """Raise ``error`` unless |f(x)| is within 1e-9 of the size of f's terms.
-
-    The size is a Horner sum, so no power of x overflows on its own, and a
-    residual or a size that is not finite never passes.
-    """
-    x_abs = abs(x)
-    size = ((abs(coeffs.a) * x_abs + abs(coeffs.b)) * x_abs + abs(coeffs.c)) * x_abs
-    residual = rhs_eval(coeffs, x)
-    if not abs(residual) <= 1e-9 * size < math.inf:
-        raise error(f"x = {x!r} is not an equilibrium: residual {residual!r}, size {size!r}")
-
-
 def _report(coeffs: Cubic, x: float) -> EquilibriumReport:
     """Tag and multiplicity of the root x from its first nonvanishing derivative.
 
-    A derivative vanishes when it is within 1e-12 of the size of its terms.  A
-    vanishing lambda = f'(x) is inconclusive, of multiplicity 2 or 3.
+    ArithmeticError unless |f(x)| is within 1e-9 of the size of f's terms, a
+    Horner sum that no power of x overflows alone and that must be finite.  A
+    derivative vanishes within 1e-12 of the size of its terms.  A vanishing
+    lambda = f'(x) is inconclusive, of multiplicity 2 or 3.
     """
     a, b, c = coeffs.a, coeffs.b, coeffs.c
     x_abs = abs(x)
+    size = ((abs(a) * x_abs + abs(b)) * x_abs + abs(c)) * x_abs
+    residual = rhs_eval(coeffs, x)
+    if not abs(residual) <= 1e-9 * size < math.inf:
+        raise ArithmeticError(
+            f"x = {x!r} is not an equilibrium: residual {residual!r}, size {size!r}"
+        )
     lam = (3.0 * a * x + 2.0 * b) * x + c
     band = 1e-12 * ((3.0 * abs(a) * x_abs + 2.0 * abs(b)) * x_abs + abs(c))
     if lam > band:
@@ -93,7 +87,7 @@ def equilibria(coeffs: Cubic) -> list[EquilibriumReport]:
     with q = -(b + sign(b)*sqrt(disc))/2, or the one double root -b/(2a) when
     the discriminant is within 1e-12 of the size of its terms.  Distinct roots
     then differ by more than 1e-6 of their size, so only equal roots merge.  A
-    root that fails the residual check of ``classify`` raises ArithmeticError.
+    root that fails ``_report``'s residual check raises ArithmeticError.
     """
     if coeffs.a == 0.0 and coeffs.b == 0.0 and coeffs.c == 0.0:
         raise DegenerateModelError("a = b = c = 0 leaves every state stationary")
@@ -111,18 +105,7 @@ def equilibria(coeffs: Cubic) -> list[EquilibriumReport]:
         roots.append(-c / b)
 
     # set() keeps the first of 0.0 and -0.0, the origin's 0.0.
-    xs = sorted(set(roots))
-    for x in xs:
-        _check_root(coeffs, x, ArithmeticError)
-    return [_report(coeffs, x) for x in xs]
-
-
-def classify(coeffs: Cubic, x_eq: float, alpha: float) -> EquilibriumReport:
-    """The report ``equilibria`` gives for x_eq; ValueError unless x_eq is a root."""
-    _check("alpha", alpha)
-    x = _check("x_eq", x_eq)
-    _check_root(coeffs, x, ValueError)
-    return _report(coeffs, x)
+    return [_report(coeffs, x) for x in sorted(set(roots))]
 
 
 def classify_all(coeffs: Cubic, alpha: float) -> list[EquilibriumReport]:

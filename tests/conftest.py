@@ -3,7 +3,7 @@
 Three independent sources of truth back the library code:
 
 * 60-digit partial sums of the Mittag-Leffler series (mpmath) for the linear
-  relaxation problem,
+  relaxation problem, and of its asymptotic series for long horizons,
 * the classical logistic closed form at alpha = 1,
 * a perturb-and-integrate probe that tags an equilibrium by whether nearby
   trajectories approach it or escape from it.
@@ -48,6 +48,18 @@ def ml_series(alpha: float, z: float, terms: int = 200) -> float:
     for k in range(terms + 1):
         total += mp.mpf(z) ** k / mp.gamma(mp.mpf(alpha) * k + 1)
     return float(total)
+
+
+def ml_asymptotic(alpha: float, x: float) -> float:
+    """E_alpha(-x) for 0 < alpha < 1 and large x, in 60-digit arithmetic.
+
+    The sum is -sum_{k=1}^{40} (-x)**(-k) / Gamma(1 - alpha*k).  On the
+    negative axis the expansion has no exponential part for alpha < 1, and
+    its terms fall until alpha*k nears x**(1/alpha), so 40 terms leave a
+    remainder far below double rounding once x is in the hundreds.
+    """
+    a, z = mp.mpf(alpha), mp.mpf(x)
+    return float(-mp.fsum((-z) ** -k * mp.rgamma(1 - a * k) for k in range(1, 41)))
 
 
 def mp_gamma(t: float) -> float:

@@ -355,7 +355,7 @@ FEATURE_MAP = {
     "initial value problem": ["FractionalIVP"],
     "uniqueness bound": ["existence_bound", "ExistenceBound", "default_h_state"],
     "equilibrium case analysis": ["equilibria", "DegenerateModelError"],
-    "eigenvalue stability classification": ["classify", "classify_all", "Classification", "EquilibriumReport"],
+    "eigenvalue stability classification": ["classify_all", "Classification", "EquilibriumReport"],
     "harvest specializations": ["harvest_threshold", "logistic_harvest_equilibrium"],
     "product-integration solver (rectangle rule, PECE)": ["solve", "SolverMethod"],
     "blow-up detection": ["BlowUpError", "BLOWUP_LIMIT"],

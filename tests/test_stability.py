@@ -13,7 +13,6 @@ from fracpop import (
     DegenerateModelError,
     EquilibriumReport,
     LogisticHarvest,
-    classify,
     classify_all,
     equilibria,
     harvest_threshold,
@@ -115,45 +114,38 @@ def test_equilibria_double_root_reported_once():
 
 
 def test_classify_logistic_examples():
-    zero = classify(LOGISTIC, 0.0, 0.5)
+    zero, capacity = equilibria(LOGISTIC)
     assert isinstance(zero, EquilibriumReport)
+    assert zero.x_eq == 0.0
     assert zero.classification is U
     assert abs(zero.lam - 0.5) <= 1e-15
-    capacity = classify(LOGISTIC, 10.0, 0.5)
+    assert abs(capacity.x_eq - 10.0) <= 1e-9
     assert capacity.classification is AS
     assert abs(capacity.lam + 0.5) <= 1e-12
 
 
 def test_classify_does_not_overflow():
-    # x = -1e300 is a root of 1e-300 x**2 + x, whose terms are each 1e300.
-    report = classify(Cubic(0.0, 1e-300, 1.0), -1e300, 0.5)
+    # The root near -1e300 of 1e-300 x**2 + x, whose terms are each 1e300.
+    report, _ = equilibria(Cubic(0.0, 1e-300, 1.0))
+    assert abs(report.x_eq + 1e300) <= 1e-15 * 1e300
     assert report.classification is AS
-    assert report.lam == -1.0
+    assert abs(report.lam + 1.0) <= 1e-15
 
 
 def test_classify_flat_root_is_inconclusive():
-    report = classify(Cubic(1.0, 0.0, 0.0), 0.0, 0.5)
+    (report,) = equilibria(Cubic(1.0, 0.0, 0.0))
     assert report.classification is INC
     assert report.lam == 0.0
 
 
-def test_classify_rejects_non_equilibrium():
-    with pytest.raises(ValueError):
-        classify(LOGISTIC, 3.0, 0.5)
-    # Residual and size both overflow to inf there.
-    with pytest.raises(ValueError, match="is not an equilibrium"):
-        classify(Cubic(1.0, 0.0, 0.0), 1e200, 0.5)
-    for x in (float("nan"), float("inf")):
-        with pytest.raises(ValueError, match=f"^x_eq must be finite, got {x!r}$"):
-            classify(LOGISTIC, x, 0.5)
-
-
 def test_classify_checks_alpha_domain():
+    # No tag depends on alpha, but classify_all keeps the order's domain, and
+    # `fracpop equilibria --alpha` relies on it for its exit code 2.
     for alpha in (0.0, -0.1, 1.5):
-        with pytest.raises(ValueError):
-            classify(LOGISTIC, 0.0, alpha)
+        with pytest.raises(ValueError, match=r"^alpha must lie in \(0, 1\]"):
+            classify_all(LOGISTIC, alpha)
     with pytest.raises(ValueError, match=r"^alpha must be finite, got nan$"):
-        classify(LOGISTIC, 0.0, float("nan"))
+        classify_all(LOGISTIC, float("nan"))
 
 
 def test_tags_do_not_depend_on_alpha():
@@ -168,9 +160,8 @@ def test_tags_do_not_depend_on_alpha():
         if any(abs(r.lam) <= 1e-3 for r in reports):
             continue
         checked += 1
-        for report in reports:
-            tags = {classify(coeffs, report.x_eq, alpha).classification for alpha in (0.1, 0.5, 1.0)}
-            assert len(tags) == 1
+        for alpha in (0.1, 0.5, 1.0):
+            assert classify_all(coeffs, alpha) == reports
 
 
 def test_classify_all_two_root_catalog():
