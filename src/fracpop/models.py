@@ -33,13 +33,13 @@ __all__ = [
 def _check(name: str, value: float) -> float:
     """Coerce ``value`` to a finite float and apply the rule its name carries.
 
-    r, K, t, t_final and h_state must be positive, alpha must lie in (0, 1]
+    r, K, t_final and h_state must be positive, alpha must lie in (0, 1]
     and E must be nonnegative; every other name only has to be finite.
     """
     value = float(value)
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
-    if name in ("r", "K", "t", "t_final", "h_state") and value <= 0.0:
+    if name in ("r", "K", "t_final", "h_state") and value <= 0.0:
         raise ValueError(f"{name} must be positive, got {value!r}")
     if name == "alpha" and not (0.0 < value <= 1.0):
         raise ValueError(f"alpha must lie in (0, 1], got {value!r}")

@@ -32,7 +32,7 @@ from enum import Enum
 import numpy as np
 
 from .models import FractionalIVP, _check, rhs_eval, to_cubic
-from .specfun import gamma, mittag_leffler
+from .specfun import mittag_leffler
 
 __all__ = [
     "BLOWUP_LIMIT",
@@ -171,7 +171,7 @@ def solve(ivp: FractionalIVP, n_steps: int, method: SolverMethod | str) -> Traje
     ka **= alpha  # in place: powering a temporary raised peak RSS by 0.7 MB
     # db[m] = (m+1)**alpha - m**alpha; the predictor weight for lag m.
     db = np.diff(ka)
-    pref_p = h**alpha / gamma(alpha + 1.0)
+    pref_p = h**alpha / math.gamma(alpha + 1.0)
     if corrected:
         ka1 = np.arange(n + 2.0) ** (alpha + 1.0)
         # a0[m] = m**(alpha+1) - (m - alpha)*(m+1)**alpha: step m's weight of f0.
@@ -183,7 +183,7 @@ def solve(ivp: FractionalIVP, n_steps: int, method: SolverMethod | str) -> Traje
         # c2[m] = (m+2)**(alpha+1) + m**(alpha+1) - 2*(m+1)**(alpha+1):
         # corrector weight for lag m = n - j of an interior node.
         c2 = ka1[2:] + ka1[:-2] - 2.0 * ka1[1:-1]
-        pref_c = h**alpha / gamma(alpha + 2.0)
+        pref_c = h**alpha / math.gamma(alpha + 2.0)
         del ka1
 
     # Until step m writes them, u[m + 1] holds step m's predictor far sum and
@@ -289,12 +289,14 @@ def convergence_study(
         raise ValueError(f"base_steps must be >= 1, got {base_steps!r}")
     if refinements < 2:
         raise ValueError(f"refinements must be >= 2, got {refinements!r}")
+    if not float(refinements).is_integer():
+        raise ValueError(f"refinements must be a whole number, got {refinements!r}")
     # The reference is evaluated before any solve, so a refused one fails
     # before any work.  For the linear law at alpha < 1 mittag_leffler's
     # 1e-10 accuracy check (ArithmeticError) refuses long before its
     # |z| <= 30 domain check (ValueError): past about z = -3.9 at alpha = 0.5.
     exact = _reference_solution(ivp)
-    ns = [base_steps * 2**k for k in range(refinements + 1)]
+    ns = [base_steps * 2**k for k in range(int(refinements) + 1)]
     hs = [ivp.t_final / n for n in ns]
     errors = [abs(solve(ivp, n, method).values[-1] - exact) for n in ns]
     # A zero error has no logarithm, so no slope can be fitted through it.

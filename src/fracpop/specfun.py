@@ -1,27 +1,16 @@
-"""Scalar special functions backing the fractional solvers and their oracles.
+"""The Mittag-Leffler oracle of the fractional solvers.
 
-Both functions are deliberately small and dependency free: the integrators
-need gamma for their quadrature weights, and gamma is ``math.gamma`` behind a
-domain check.  The one-parameter Mittag-Leffler sum is the closed-form
-solution of the linear fractional relaxation problem, which the test oracles
-and convergence studies lean on.
+The one-parameter Mittag-Leffler sum is the closed-form solution of the
+linear fractional relaxation problem, which the test oracles and convergence
+studies lean on.  It is small and dependency free: its Gamma values come
+from ``math.gamma``, as do those of the quadrature weights.
 """
 
 import math
 
 from .models import _check
 
-__all__ = ["gamma", "mittag_leffler"]
-
-
-def gamma(t: float) -> float:
-    """Gamma function on the positive real axis.
-
-    A domain check in front of ``math.gamma``: only finite t > 0 is
-    accepted, and arguments past about 171.6, where the value leaves double
-    range, raise OverflowError.
-    """
-    return math.gamma(_check("t", t))
+__all__ = ["mittag_leffler"]
 
 
 _ML_MAX_TERMS = 200
@@ -51,7 +40,7 @@ def mittag_leffler(alpha: float, z: float) -> float:
     terms = [1.0]
     running = 1.0
     for k in range(1, _ML_MAX_TERMS + 1):
-        term = z**k / gamma(alpha * k + 1.0)
+        term = z**k / math.gamma(alpha * k + 1.0)
         terms.append(term)
         if abs(term) < _ML_STOP_FACTOR * abs(running):
             # eps * peak bounds the cancellation error of the compensated sum.

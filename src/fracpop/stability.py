@@ -51,12 +51,12 @@ class EquilibriumReport:
 
 
 def _report(coeffs: Cubic, x: float) -> EquilibriumReport:
-    """Tag and multiplicity of the root x from its first nonvanishing derivative.
+    """Tag of the root x from lambda = f'(x), and its multiplicity.
 
     ArithmeticError unless |f(x)| is within 1e-9 of the size of f's terms, a
-    Horner sum that no power of x overflows alone and that must be finite.  A
-    derivative vanishes within 1e-12 of the size of its terms.  A vanishing
-    lambda = f'(x) is inconclusive, of multiplicity 2 or 3.
+    Horner sum that no power of x overflows alone and that must be finite.
+    lambda vanishes within 1e-12 of the size of its terms, and a vanishing
+    lambda is inconclusive, of multiplicity 2 or 3.
     """
     a, b, c = coeffs.a, coeffs.b, coeffs.c
     x_abs = abs(x)
@@ -73,9 +73,8 @@ def _report(coeffs: Cubic, x: float) -> EquilibriumReport:
     elif lam < -band:
         tag, mult = Classification.ASYMPTOTICALLY_STABLE, 1
     else:
-        curvature = 6.0 * a * x + 2.0 * b
-        flat = abs(curvature) <= 1e-12 * (6.0 * abs(a) * x_abs + 2.0 * abs(b))
-        tag, mult = Classification.INCONCLUSIVE, 3 if flat else 2
+        # f = x * (a*x**2 + b*x + c): only the origin, with b = c = 0, is triple.
+        tag, mult = Classification.INCONCLUSIVE, 3 if x == 0.0 and b == c == 0.0 else 2
     return EquilibriumReport(x_eq=x, lam=lam, classification=tag, multiplicity=mult)
 
 

@@ -62,11 +62,6 @@ def ml_asymptotic(alpha: float, x: float) -> float:
     return float(-mp.fsum((-z) ** -k * mp.rgamma(1 - a * k) for k in range(1, 41)))
 
 
-def mp_gamma(t: float) -> float:
-    """Gamma in 60-digit arithmetic, rounded to double."""
-    return float(mp.gamma(mp.mpf(t)))
-
-
 def classical_logistic(r: float, K: float, x0: float, t: float) -> float:
     """Exact solution of x' = r x (1 - x/K)."""
     e = math.exp(r * t)

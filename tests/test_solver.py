@@ -28,7 +28,6 @@ from fracpop import (
     to_cubic,
 )
 from fracpop.solver import _reference_solution
-from fracpop.specfun import gamma
 
 ML_HALF_AT_MINUS_ONE = 0.42758357615580700441
 
@@ -246,12 +245,12 @@ def direct_solve(ivp, n_steps, method):
     k = np.arange(n + 2, dtype=float)
     ka = k**alpha
     db = np.diff(ka)
-    pref_p = h**alpha / gamma(alpha + 1.0)
+    pref_p = h**alpha / math.gamma(alpha + 1.0)
     if corrected:
         ka1 = k ** (alpha + 1.0)
         c2 = ka1[2:] + ka1[:-2] - 2.0 * ka1[1:-1]
         a0 = ka1[:n] - (k[:n] - alpha) * ka[1 : n + 1]
-        pref_c = h**alpha / gamma(alpha + 2.0)
+        pref_c = h**alpha / math.gamma(alpha + 2.0)
 
     x0 = ivp.x0
     u = np.empty(n + 1)
@@ -585,6 +584,15 @@ def test_quadratic_reference_matches_mpmath():
     assert 0 < escaped < 384
     # The logistic reference past c t = 709.8, where e^(c t) overflows.
     assert _reference_solution(FractionalIVP(1.0, Logistic(0.5, 10.0), 4.0, 2000.0)) == 10.0
+
+
+def test_convergence_study_refuses_a_fractional_refinement_count():
+    ivp = FractionalIVP(0.5, LINEAR_DECAY, 1.0, 1.0)
+    with pytest.raises(ValueError, match=r"refinements must be a whole number, got 2\.5"):
+        convergence_study(ivp, "euler", 8, 2.5)
+    with pytest.raises(ValueError, match=r"refinements must be >= 2, got 1\.5"):
+        convergence_study(ivp, "euler", 8, 1.5)
+    assert convergence_study(ivp, "euler", 8, 2.0) == convergence_study(ivp, "euler", 8, 2)
 
 
 def test_estimate_order_requires_reference():

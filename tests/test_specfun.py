@@ -1,63 +1,17 @@
-"""Gamma and Mittag-Leffler accuracy, identities, and domain policing."""
+"""Mittag-Leffler accuracy, identities, and domain policing."""
 
 import math
-import re
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from conftest import ml_series, mp_gamma
-from fracpop import gamma, mittag_leffler
+from conftest import ml_series
+from fracpop import mittag_leffler
 
 # Frozen 60-digit reference values.
-SQRT_PI = 1.7724538509055160273
-GAMMA_0P1 = 9.5135076986687318363
-GAMMA_170 = 4.2690680090047052749e304
 ML_HALF_AT_MINUS_ONE = 0.42758357615580700441  # equals e * erfc(1)
 ML_03_AT_MINUS_07 = 0.548823134964846796
-
-
-def test_gamma_integer_factorials():
-    for n, fact in [(1, 1.0), (2, 1.0), (3, 2.0), (5, 24.0), (6, 120.0)]:
-        assert abs(gamma(float(n)) - fact) <= 1e-13 * fact
-
-
-def test_gamma_half_is_sqrt_pi():
-    assert abs(gamma(0.5) - SQRT_PI) <= 1e-13 * SQRT_PI
-
-
-def test_gamma_small_argument_lift():
-    assert abs(gamma(0.1) - GAMMA_0P1) <= 1e-13 * GAMMA_0P1
-
-
-def test_gamma_large_arguments():
-    assert abs(gamma(170.0) - GAMMA_170) <= 1e-12 * GAMMA_170
-    assert math.isfinite(gamma(171.6))
-    with pytest.raises(OverflowError):
-        gamma(172.0)
-
-
-def test_gamma_accuracy_randomized():
-    rng = np.random.default_rng(7)
-    ts = np.exp(rng.uniform(np.log(1e-3), np.log(170.0), 200))
-    worst = max(abs(gamma(float(t)) - mp_gamma(float(t))) / mp_gamma(float(t)) for t in ts)
-    assert worst <= 1e-12
-
-
-def test_gamma_recurrence():
-    rng = np.random.default_rng(11)
-    for t in rng.uniform(0.1, 50.0, 200):
-        t = float(t)
-        assert abs(gamma(t + 1.0) - t * gamma(t)) <= 1e-11 * abs(t * gamma(t))
-
-
-def test_gamma_rejects_bad_arguments():
-    # models._check owns the rule, so each refusal names the argument t.
-    for bad in (0.0, -1.0, -0.5, float("nan"), float("inf")):
-        rule = "positive" if math.isfinite(bad) else "finite"
-        with pytest.raises(ValueError, match=re.escape(f"t must be {rule}, got {bad!r}")):
-            gamma(bad)
 
 
 def test_ml_matches_exp_at_order_one():

@@ -77,6 +77,15 @@ def test_equilibria_triple_root_at_origin():
     assert classified[0].multiplicity == 3
 
 
+def test_triple_root_only_at_a_flat_origin():
+    # 1e308 x**2 has a double root and 1e308 x**3 a triple one, although
+    # 2*b and 6*a overflow; lambda itself still overflows to nan (ROADMAP item 19).
+    (double,) = equilibria(Cubic(0.0, 1e308, 0.0))
+    (triple,) = equilibria(Cubic(1e308, 0.0, 0.0))
+    assert (double.x_eq, double.classification, double.multiplicity) == (0.0, INC, 2)
+    assert (triple.x_eq, triple.classification, triple.multiplicity) == (0.0, INC, 3)
+
+
 def test_equilibria_far_from_unit_scale():
     # x**2 + 10x - 10 has roots -5 -/+ sqrt(35), x**2 + 3x + 1 has
     # (-3 -/+ sqrt(5)) / 2 and x**2 - 1e-14 has -/+ 1e-7: tiny or huge
