@@ -1,12 +1,12 @@
 """Fractional-order population dynamics with cubic growth laws.
 
-The package reduces a small catalog of population models (logistic, harvested
-logistic, Allee, harvested Allee, raw cubic) to the single right-hand side
-a*x**3 + b*x**2 + c*x (a ``Cubic``), integrates the resulting Caputo-type
-initial value problem with ``solve``, one product-integration loop that runs
-the fractional Euler or the Adams predictor-corrector scheme, checks the
-computable existence/uniqueness bound, and classifies equilibria through the
-sign of the linearized eigenvalue.
+The package reduces a small catalog of population models (logistic and Allee
+growth, each with an optional harvesting effort E, and a raw cubic) to the
+single right-hand side a*x**3 + b*x**2 + c*x (a ``Cubic``), integrates the
+resulting Caputo-type initial value problem with ``solve``, one
+product-integration loop that runs the fractional Euler or the Adams
+predictor-corrector scheme, checks the computable existence/uniqueness bound,
+and classifies equilibria through the sign of the linearized eigenvalue.
 """
 
 from . import models, solver, specfun, stability

@@ -21,11 +21,9 @@ from pathlib import Path
 
 from .models import (
     Allee,
-    AlleeHarvest,
     Cubic,
     FractionalIVP,
     Logistic,
-    LogisticHarvest,
     ModelSpec,
     default_h_state,
     existence_bound,
@@ -38,13 +36,13 @@ __all__ = ["main"]
 
 _MAX_DEFAULT_STEPS = 50000
 
-# Each model's flags are the fields of its dataclass, in declaration order.
+# Each model's flags are its dataclass fields in order; only -harvest names take E.
 _MODELS = {
     "cubic": Cubic,
     "logistic": Logistic,
-    "logistic-harvest": LogisticHarvest,
+    "logistic-harvest": Logistic,
     "allee": Allee,
-    "allee-harvest": AlleeHarvest,
+    "allee-harvest": Allee,
 }
 _ALL_PARAMS = ("a", "b", "c", "r", "K", "m", "E")
 _METHODS = [method.value for method in SolverMethod]
@@ -142,7 +140,8 @@ def _parser() -> argparse.ArgumentParser:
 
 def _build_model(args: argparse.Namespace, **override: float | None) -> ModelSpec:
     params = {name: getattr(args, name) for name in _ALL_PARAMS} | override
-    required = [field.name for field in fields(_MODELS[args.model])]
+    harvest = args.model.endswith("-harvest")
+    required = [f.name for f in fields(_MODELS[args.model]) if f.name != "E" or harvest]
     missing = [name for name in required if params[name] is None]
     extra = [
         name

@@ -4,9 +4,10 @@ Every supported population model is a cubic polynomial in disguise:
 
     dx/dt (fractional order alpha) = a*x**3 + b*x**2 + c*x
 
-The named models carry their ecological parameters; ``to_cubic`` maps each of
-them onto the ``Cubic`` (a, b, c) the solvers and the stability analysis
-consume.
+The two named laws, ``Logistic`` and ``Allee``, carry their ecological
+parameters and a harvesting effort E that defaults to 0 (``LogisticHarvest``
+and ``AlleeHarvest`` are aliases of them); ``to_cubic`` maps each onto the
+``Cubic`` (a, b, c) the solvers and the stability analysis consume.
 ``existence_bound`` evaluates the computable sufficient condition for a unique
 solution on a state ball of half-width h around the origin.
 """
@@ -83,17 +84,7 @@ class Cubic:
 
 @dataclass(frozen=True)
 class Logistic:
-    """Logistic growth r*x*(1 - x/K) with rate r > 0 and capacity K > 0."""
-
-    r: float
-    K: float
-
-    __post_init__ = _validate_fields
-
-
-@dataclass(frozen=True)
-class LogisticHarvest:
-    """Logistic growth with proportional harvesting effort E >= 0.
+    """Logistic growth r*x*(1 - x/K) - E*x, with r > 0, K > 0 and effort E >= 0.
 
     E > r is permitted: harvesting may exceed the intrinsic growth rate, in
     which case the positive equilibrium moves below zero and the population
@@ -102,39 +93,31 @@ class LogisticHarvest:
 
     r: float
     K: float
-    E: float
+    E: float = 0.0
 
     __post_init__ = _validate_fields
 
 
 @dataclass(frozen=True)
 class Allee:
-    """Logistic growth with a strong Allee threshold m, 0 < m < K.
+    """Growth with a strong Allee threshold m, 0 < m < K, and effort E >= 0.
 
-    Right-hand side r*x*(1 - x/K)*(x - m): populations starting below m die
-    out, populations between m and K grow toward K.
+    Right-hand side r*x*(1 - x/K)*(x - m) - E*x: unharvested populations
+    starting below m die out, those between m and K grow toward K.
     """
 
     r: float
     K: float
     m: float
+    E: float = 0.0
 
     __post_init__ = _validate_fields
 
 
-@dataclass(frozen=True)
-class AlleeHarvest:
-    """Allee growth with proportional harvesting effort E >= 0."""
+# Harvesting is the effort E of the same two laws; the old names stay for callers.
+LogisticHarvest, AlleeHarvest = Logistic, Allee
 
-    r: float
-    K: float
-    m: float
-    E: float
-
-    __post_init__ = _validate_fields
-
-
-ModelSpec = Cubic | Logistic | LogisticHarvest | Allee | AlleeHarvest
+ModelSpec = Cubic | Logistic | Allee
 
 
 @dataclass(frozen=True)
@@ -176,18 +159,16 @@ def to_cubic(model: ModelSpec) -> Cubic:
     """
     if isinstance(model, Cubic):
         return model
-    if not isinstance(model, (Logistic, LogisticHarvest, Allee, AlleeHarvest)):
+    if not isinstance(model, (Logistic, Allee)):
         raise TypeError(f"unsupported model {model!r}")
     r_k, r_m = model.r / model.K, model.r * getattr(model, "m", 1.0)
     for name, value in (("r / K", r_k), ("r * m", r_m)):
         if value == 0.0:
             raise ValueError(f"{name} underflows to zero, so an equilibrium would be lost")
-    # The harvested laws subtract their effort from c; x - 0.0 == x keeps the
-    # unharvested coefficients exact.
-    effort = getattr(model, "E", 0.0)
-    if isinstance(model, (Logistic, LogisticHarvest)):
-        return Cubic(0.0, -r_k, model.r - effort)
-    return Cubic(-r_k, (model.m / model.K + 1.0) * model.r, -r_m - effort)
+    # The effort is subtracted from c; x - 0.0 == x keeps E = 0 exact.
+    if isinstance(model, Logistic):
+        return Cubic(0.0, -r_k, model.r - model.E)
+    return Cubic(-r_k, (model.m / model.K + 1.0) * model.r, -r_m - model.E)
 
 
 def rhs_eval(coeffs: Cubic, x: float) -> float:
@@ -224,6 +205,6 @@ def default_h_state(model: ModelSpec, x0: float = 0.0) -> float:
     half-width themselves.
     """
     x0 = _check("x0", x0)
-    if isinstance(model, (Logistic, LogisticHarvest, Allee, AlleeHarvest)):
+    if isinstance(model, (Logistic, Allee)):
         return 1.2 * max(abs(x0), model.K)
     raise ValueError("no default h_state for a raw cubic model")

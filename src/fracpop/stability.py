@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .models import Allee, Cubic, LogisticHarvest, _check, rhs_eval
+from .models import Allee, Cubic, Logistic, _check, rhs_eval
 
 __all__ = [
     "Classification",
@@ -55,8 +55,9 @@ def _report(coeffs: Cubic, x: float) -> EquilibriumReport:
 
     ArithmeticError unless |f(x)| is within 1e-9 of the size of f's terms, a
     Horner sum that no power of x overflows alone and that must be finite.
-    lambda vanishes within 1e-12 of the size of its terms, and a vanishing
-    lambda is inconclusive, of multiplicity 2 or 3.
+    lambda is c exactly at the origin, and ArithmeticError elsewhere unless it
+    is finite.  It vanishes within 1e-12 of the size of its terms, and a
+    vanishing lambda is inconclusive, of multiplicity 2 or 3.
     """
     a, b, c = coeffs.a, coeffs.b, coeffs.c
     x_abs = abs(x)
@@ -66,8 +67,13 @@ def _report(coeffs: Cubic, x: float) -> EquilibriumReport:
         raise ArithmeticError(
             f"x = {x!r} is not an equilibrium: residual {residual!r}, size {size!r}"
         )
-    lam = (3.0 * a * x + 2.0 * b) * x + c
-    band = 1e-12 * ((3.0 * abs(a) * x_abs + 2.0 * abs(b)) * x_abs + abs(c))
+    if x == 0.0:
+        lam, band = c, 0.0  # f'(0) = c, with no product of a or b to overflow
+    else:
+        lam = (3.0 * a * x + 2.0 * b) * x + c
+        band = 1e-12 * ((3.0 * abs(a) * x_abs + 2.0 * abs(b)) * x_abs + abs(c))
+        if not math.isfinite(lam):
+            raise ArithmeticError(f"lambda at x = {x!r} is {lam!r}, beyond double range")
     if lam > band:
         tag, mult = Classification.UNSTABLE, 1
     elif lam < -band:
@@ -86,7 +92,7 @@ def equilibria(coeffs: Cubic) -> list[EquilibriumReport]:
     with q = -(b + sign(b)*sqrt(disc))/2, or the one double root -b/(2a) when
     the discriminant is within 1e-12 of the size of its terms.  Distinct roots
     then differ by more than 1e-6 of their size, so only equal roots merge.  A
-    root that fails ``_report``'s residual check raises ArithmeticError.
+    root that fails either check of ``_report`` raises ArithmeticError.
     """
     if coeffs.a == 0.0 and coeffs.b == 0.0 and coeffs.c == 0.0:
         raise DegenerateModelError("a = b = c = 0 leaves every state stationary")
@@ -132,5 +138,5 @@ def logistic_harvest_equilibrium(r: float, K: float, E: float) -> float:
     Positive while E < r, zero at E = r, and negative (population collapse,
     the equilibrium leaves the admissible state space) once E > r.
     """
-    model = LogisticHarvest(r, K, E)
+    model = Logistic(r, K, E)
     return _check("equilibrium", model.K * (1.0 - model.E / model.r))

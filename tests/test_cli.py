@@ -213,6 +213,14 @@ def test_simulate_flag_validation(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.endswith("error: argument --x0: empty value list: ','\n")
+    # Only the -harvest names take an effort, and they require one.
+    logistic = ("--r", "0.5", "--K", "10", "--alpha", "0.5")
+    for model, effort, want in (
+        ("logistic", ("--E", "0.2"), "error: model 'logistic' does not take --E\n"),
+        ("logistic-harvest", (), "error: model 'logistic-harvest' needs --E\n"),
+    ):
+        code, out, err = run_cli(capsys, *base, "--model", model, *logistic, *effort)
+        assert (code, out, err) == (2, "", want)
 
 
 def test_simulate_validates_whole_sweep_before_writing(tmp_path, capsys):

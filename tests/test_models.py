@@ -23,26 +23,20 @@ from fracpop import (
 
 
 def direct_rhs(model, x):
-    """Each growth law evaluated from its own ecological form."""
+    """Each growth law evaluated from its own ecological form, less its harvest."""
     if isinstance(model, Logistic):
-        return model.r * x * (1.0 - x / model.K)
-    if isinstance(model, LogisticHarvest):
         return model.r * x * (1.0 - x / model.K) - model.E * x
     if isinstance(model, Allee):
-        return model.r * x * (1.0 - x / model.K) * (x - model.m)
-    if isinstance(model, AlleeHarvest):
         return model.r * x * (1.0 - x / model.K) * (x - model.m) - model.E * x
     return ((model.a * x + model.b) * x + model.c) * x
 
 
 def test_model_catalog_is_exhaustive():
-    assert set(typing.get_args(ModelSpec)) == {
-        Cubic,
-        Logistic,
-        LogisticHarvest,
-        Allee,
-        AlleeHarvest,
-    }
+    assert set(typing.get_args(ModelSpec)) == {Cubic, Logistic, Allee}
+    # The harvested laws are the base laws with an effort E, which defaults to 0.
+    assert LogisticHarvest is Logistic
+    assert AlleeHarvest is Allee
+    assert Logistic(0.5, 10.0) == LogisticHarvest(0.5, 10.0, 0.0)
 
 
 def test_reduction_logistic():

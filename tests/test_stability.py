@@ -79,11 +79,41 @@ def test_equilibria_triple_root_at_origin():
 
 def test_triple_root_only_at_a_flat_origin():
     # 1e308 x**2 has a double root and 1e308 x**3 a triple one, although
-    # 2*b and 6*a overflow; lambda itself still overflows to nan (ROADMAP item 19).
+    # 2*b and 6*a overflow.
     (double,) = equilibria(Cubic(0.0, 1e308, 0.0))
     (triple,) = equilibria(Cubic(1e308, 0.0, 0.0))
     assert (double.x_eq, double.classification, double.multiplicity) == (0.0, INC, 2)
     assert (triple.x_eq, triple.classification, triple.multiplicity) == (0.0, INC, 3)
+    assert double.lam == triple.lam == 0.0
+
+
+def test_origin_eigenvalue_is_c_past_overflow():
+    # f'(0) = c exactly, although 3*a overflows: the origin of
+    # 1e308 x**3 + x is unstable with lambda 1, not inconclusive with nan.
+    (origin,) = equilibria(Cubic(1e308, 0.0, 1.0))
+    assert (origin.x_eq, origin.lam, origin.classification, origin.multiplicity) == (
+        0.0, 1.0, U, 1
+    )
+
+
+def test_non_finite_eigenvalue_raises():
+    # 1e308 x**3 + x**2 - x has simple roots near -/+1e-154, where 3*a*x
+    # overflows, so no eigenvalue and no tag can be formed.
+    with pytest.raises(ArithmeticError, match=r"lambda at x = .* is inf, beyond double range"):
+        equilibria(Cubic(1e308, 1.0, -1.0))
+
+
+@pytest.mark.xfail(strict=True, reason="b*b underflows in the scaled discriminant (ROADMAP item 19)")
+def test_roots_with_an_underflowed_discriminant():
+    # |b| is below about 1e-154 of |a|, so b*b underflows after scaling and
+    # the discriminant band reports a false double root.  x**2 (1e191 x - 1)
+    # has the simple root 1e-191, where lambda = 1e-191 > 0.
+    reports = equilibria(Cubic(1e191, -1.0, 0.0))
+    assert [r.classification for r in reports] == [INC, U]
+    assert [r.x_eq for r in reports] == pytest.approx([0.0, 1e-191], rel=1e-12, abs=0.0)
+    # -1e194 x**2 - x - 1e-192 has discriminant 1 - 400 < 0: only the origin.
+    got = [(r.x_eq, r.classification) for r in equilibria(Cubic(-1e194, -1.0, -1e-192))]
+    assert got == [(0.0, AS)]
 
 
 def test_equilibria_far_from_unit_scale():
