@@ -1,28 +1,31 @@
 """Time integration of the fractional cubic initial value problem.
 
-One product-integration loop, ``solve``, runs both schemes for
-D^alpha x = f(x) with f cubic, selected by ``SolverMethod``:
+One function, ``solve``, runs both schemes for D^alpha x = f(x) with f
+cubic, selected by ``SolverMethod``:
 
 * ``FRAC_EULER``: fractional forward Euler, the rectangle rule applied to the
   equivalent Volterra integral equation.
 * ``FRAC_ADAMS_PECE``: predictor-corrector of PECE type, the same
   rectangle-rule predictor followed by one trapezoid-rule correction.
 
-Both schemes keep the full convolution history, summed as in Hairer,
-Lubich & Schlichte (1985): the time loop runs in leaves of 1,024 steps, and
-each step sums its own leaf's nodes directly.  When a leaf ends, the block
-of nodes before it whose size is the largest power-of-two multiple of 1,024
-dividing the leaf's start adds its part to the next steps' far sums by
-``numpy.fft``, in sub-squares of at most 8,192 x 8,192 nodes.  The leaves
+For alpha < 1 both schemes keep the full convolution history, summed as in
+Hairer, Lubich & Schlichte (1985): the time loop runs in leaves of 1,024
+steps, and each step sums its own leaf's nodes directly.  When a leaf ends,
+the block of nodes before it whose size is the largest power-of-two multiple
+of 1,024 dividing the leaf's start adds its part to the next steps' far sums
+by ``numpy.fft``, in sub-squares of at most 8,192 x 8,192 nodes.  The leaves
 cost at most 1,024 multiply-adds per step and kernel; the transforms grow
 like n log n up to the cap and like n**2 / 8,192 past it.  A solve of at
 most 1,024 steps is one leaf: pure direct sums.  The loop holds ``u``,
 ``frev``, ``db`` and, for PECE, ``c2``, each of n + 1 floats; the set-up
 holds at most one array more.  At n = 1e6 a PECE solve peaks at 40.0 MB in
 its set-up (32.9 MB in the loop) and an Euler solve at 24.7 MB in its loop.
-At alpha = 1 the quadrature weights collapse to the classical composite
-rectangle and trapezoid weights, so the schemes reduce to forward Euler and
-to the one-step trapezoidal predictor-corrector written in integral form.
+
+At alpha = 1 every weight is constant (db = 1, and for PECE a0 = 1 and
+c2 = 2), so the schemes are forward Euler and the one-step trapezoidal
+predictor-corrector written in integral form.  Both then read one
+compensated running sum of the history: O(1) work per step and one array,
+``u``, of n + 1 floats.
 """
 
 import math
@@ -31,7 +34,7 @@ from enum import Enum
 
 import numpy as np
 
-from .models import FractionalIVP, _check, rhs_eval, to_cubic
+from .models import Cubic, FractionalIVP, _check, rhs_eval, to_cubic
 from .specfun import mittag_leffler
 
 __all__ = [
@@ -156,7 +159,9 @@ def solve(ivp: FractionalIVP, n_steps: int, method: SolverMethod | str) -> Traje
         a_{n+1,n+1} = 1
 
     applied to f at the corrected history plus the predicted endpoint.  Only
-    the accepted state is checked for blow-up.
+    the accepted state is checked for blow-up.  At alpha = 1 the weights are
+    constant, and the history is one compensated running sum: O(1) work per
+    step and no array but the n + 1 values.
     """
     corrected = SolverMethod(method) is SolverMethod.FRAC_ADAMS_PECE
     grid = Grid(n_steps, ivp.t_final)
@@ -167,6 +172,8 @@ def solve(ivp: FractionalIVP, n_steps: int, method: SolverMethod | str) -> Traje
 
     x0 = ivp.x0
     f0 = rhs_eval(coeffs, x0)
+    if alpha == 1.0:
+        return Trajectory(grid=grid, values=_running_sum(coeffs, x0, f0, h, n, corrected))
     ka = np.arange(n + 2.0)
     ka **= alpha  # in place: powering a temporary raised peak RSS by 0.7 MB
     # db[m] = (m+1)**alpha - m**alpha; the predictor weight for lag m.
@@ -227,6 +234,43 @@ def solve(ivp: FractionalIVP, n_steps: int, method: SolverMethod | str) -> Traje
             frev[back - 1] = rhs_eval(coeffs, value)
         u[lo + 1 : hi + 1] = values
     return Trajectory(grid=grid, values=u)
+
+
+def _running_sum(
+    coeffs: Cubic, x0: float, f0: float, h: float, n: int, corrected: bool
+) -> np.ndarray:
+    """``solve``'s schemes at alpha = 1, where db = 1, a0 = 1 and c2 = 2.
+
+    With T_m = f_1 + ... + f_m the predictor is u_{m+1} = x0 + h (f_0 + T_m)
+    and the corrector u_{m+1} = x0 + (h/2) (f_0 + 2 T_m + f(pred)).  T_m is
+    kept compensated as in Neumaier (1974), each addition's rounding error
+    found exactly by Knuth's TwoSum: near an equilibrium a plain running sum
+    drifts, 107 ulps below x = 6 after 1e5 steps of the quickstart model.
+    """
+    u = np.empty(n + 1)  # before any step, so an unallocatable grid fails at once
+    u[0] = x0
+    half_h = h / 2.0
+    total, comp = 0.0, 0.0
+    for lo in range(0, n, _LEAF):
+        values = []
+        for m in range(lo + 1, min(lo + _LEAF, n) + 1):
+            tail = total + comp
+            if tail != tail:
+                # An infinite f makes comp nan; the direct sum is then total.
+                tail = total
+            value = x0 + h * (f0 + tail)
+            if corrected:
+                value = x0 + half_h * ((f0 + 2.0 * tail) + rhs_eval(coeffs, value))
+            if not abs(value) <= BLOWUP_LIMIT:
+                raise BlowUpError(m, m * h, value)
+            values.append(value)
+            f = rhs_eval(coeffs, value)
+            new = total + f
+            part = new - total
+            comp += (total - (new - part)) + (f - part)
+            total = new
+        u[lo + 1 : lo + 1 + len(values)] = values
+    return u
 
 
 def _reference_solution(ivp: FractionalIVP) -> float:

@@ -14,6 +14,7 @@ factor, so it changes no equilibrium, tag or multiplicity.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -90,22 +91,39 @@ def equilibria(coeffs: Cubic) -> list[EquilibriumReport]:
     x = 0 is always a root.  The quadratic factor, scaled exactly by a power of
     two so that b*b cannot overflow, has the cancellation-free roots q/a and c/q
     with q = -(b + sign(b)*sqrt(disc))/2, or the one double root -b/(2a) when
-    the discriminant is within 1e-12 of the size of its terms.  Distinct roots
-    then differ by more than 1e-6 of their size, so only equal roots merge.  A
-    root that fails either check of ``_report`` raises ArithmeticError.
+    the discriminant is within 1e-12 of the size of its terms.  Where b*b
+    underflows on that scale, x is scaled by a power of two as well, to the
+    roots' size.  Distinct roots then differ by more than 1e-6 of their size,
+    so only equal roots merge.  A root that fails either check of ``_report``
+    raises ArithmeticError.
     """
     if coeffs.a == 0.0 and coeffs.b == 0.0 and coeffs.c == 0.0:
         raise DegenerateModelError("a = b = c = 0 leaves every state stationary")
     shift = -math.frexp(max(abs(coeffs.a), abs(coeffs.b), abs(coeffs.c)))[1]
     a, b, c = (math.ldexp(v, shift) for v in (coeffs.a, coeffs.b, coeffs.c))
+    k = 0
+    if a != 0.0 and b * b < sys.float_info.min:
+        # b*b underflows, so b is far below the largest of a and c, and 4ac
+        # may underflow with it.  With x = 2**k y and 2**k near the larger
+        # root size, max(|b/a|, sqrt|c/a|), the quadratic in y has |a| in
+        # [0.5, 1), |b| < 1 and |c| < 2 with b or c near 1, so a term of the
+        # discriminant underflows only where the other swamps it.
+        ea = math.frexp(coeffs.a)[1]
+        sizes = [math.frexp(coeffs.b)[1] - ea] if coeffs.b else []
+        if coeffs.c:
+            sizes.append((math.frexp(coeffs.c)[1] - ea) // 2)
+        k = max(sizes, default=0)
+        a = math.ldexp(coeffs.a, -ea)
+        b = math.ldexp(coeffs.b, -ea - k)
+        c = math.ldexp(coeffs.c, -ea - 2 * k)
     roots = [0.0]
     if a != 0.0:
         disc = b * b - 4.0 * a * c
         if abs(disc) <= 1e-12 * (b * b + 4.0 * abs(a * c)):
-            roots.append(-b / (2.0 * a))
+            roots.append(math.ldexp(-b / (2.0 * a), k))
         elif disc > 0.0:
             q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
-            roots += [q / a, c / q]
+            roots += [math.ldexp(q / a, k), math.ldexp(c / q, k)]
     elif b != 0.0:
         roots.append(-c / b)
 

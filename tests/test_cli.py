@@ -690,10 +690,13 @@ def test_readme_library_quickstart(capsys):
 
 def test_grid_too_large_to_allocate(tmp_path, capsys):
     # 1e15 steps need 7.1 PiB per array, beyond any address space, so NumPy
-    # refuses the first array at once and nothing is allocated.
+    # refuses the first array at once and nothing is allocated: the weights
+    # below alpha = 1, the values at alpha = 1.
     steps = "1000000000000000"
     for argv in (
         ("simulate", "--model", "logistic", "--r", "0.5", "--K", "10", "--alpha", "1",
+         "--x0", "4", "--t-final", "10", "--n-steps", steps, "--out", str(tmp_path / "out")),
+        ("simulate", "--model", "logistic", "--r", "0.5", "--K", "10", "--alpha", "0.5",
          "--x0", "4", "--t-final", "10", "--n-steps", steps, "--out", str(tmp_path / "out")),
         ("convergence", "--model", "cubic", "--a", "0", "--b", "0", "--c", "-1",
          "--alpha", "1", "--x0", "1", "--t-final", "1", "--base-steps", steps),

@@ -27,6 +27,7 @@ from fracpop import (
     solve,
     to_cubic,
 )
+from fracpop import solver
 from fracpop.solver import _reference_solution
 
 ML_HALF_AT_MINUS_ONE = 0.42758357615580700441
@@ -308,14 +309,15 @@ def test_one_leaf_is_the_direct_sum(n, method):
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0])
-@pytest.mark.parametrize("n", [1025, 3000, 16385])
+@pytest.mark.parametrize("n", [1, 1024, 1025, 3000, 16385])
 @pytest.mark.parametrize("method", list(SolverMethod))
 @pytest.mark.parametrize(
     "model, x0, t_final", [(QUICKSTART, 4.0, 500.0), (LINEAR_DECAY, 1.0, 30.0)], ids=["quickstart", "decay"]
 )
 def test_far_sums_match_the_direct_sum(model, x0, t_final, method, n, alpha):
     # Past one leaf, FFT blocks carry the earlier nodes; n = 16385 needs a
-    # block of 16384 sources, which the transform cap splits in four.
+    # block of 16384 sources, which the transform cap splits in four.  At
+    # alpha = 1 the running sum stands in for both, inside a leaf and past it.
     ivp = FractionalIVP(alpha, model, x0, t_final)
     want = direct_solve(ivp, n, method)
     got = solve(ivp, n, method).values
@@ -378,19 +380,27 @@ def test_pece_overflow_is_a_blowup():
     # The corrector sum overflows to inf at step 1.  With Python-float
     # arithmetic that is a BlowUpError, not a NumPy overflow warning, which
     # this suite turns into an error.
-    ivp = FractionalIVP(1.0, Cubic(0.0, 0.0, -1.0), 1e308, 1.0)
-    with pytest.raises(BlowUpError) as excinfo:
-        solve(ivp, 32, SolverMethod.FRAC_ADAMS_PECE)
-    assert excinfo.value.step_index == 1
-    assert excinfo.value.value == -math.inf
+    for alpha, x0 in ((1.0, 1e308), (0.5, 1.7e308)):
+        ivp = FractionalIVP(alpha, Cubic(0.0, 0.0, -1.0), x0, 1.0)
+        with pytest.raises(BlowUpError) as excinfo:
+            solve(ivp, 32, SolverMethod.FRAC_ADAMS_PECE)
+        assert excinfo.value.step_index == 1
+        assert excinfo.value.value == -math.inf
 
 
 def test_setup_peak_memory():
     # A solve that blows up at step 1 peaks in its set-up.  The loop needs
     # u, frev, db and (PECE) c2; building them holds at most one array more.
+    # At alpha = 1 the running sum needs u alone.
     n = 10**6
-    ivp = FractionalIVP(1.0, LINEAR_DECAY, 1e308, 1.0)
-    for method, arrays in ((SolverMethod.FRAC_ADAMS_PECE, 5.5), (SolverMethod.FRAC_EULER, 3.5)):
+    cases = [
+        (0.5, SolverMethod.FRAC_ADAMS_PECE, 5.5),
+        (0.5, SolverMethod.FRAC_EULER, 3.5),
+        (1.0, SolverMethod.FRAC_ADAMS_PECE, 1.5),
+        (1.0, SolverMethod.FRAC_EULER, 1.5),
+    ]
+    for alpha, method, arrays in cases:
+        ivp = FractionalIVP(alpha, LINEAR_DECAY, 1e308, 1.0)
         tracemalloc.start()
         try:
             with pytest.raises(BlowUpError) as excinfo:
@@ -400,6 +410,26 @@ def test_setup_peak_memory():
             tracemalloc.stop()
         assert excinfo.value.step_index == 1
         assert peak <= arrays * 8 * n
+
+
+def test_order_one_runs_no_far_sums(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("_add_far ran at alpha = 1")
+
+    monkeypatch.setattr(solver, "_add_far", refuse)
+    ivp = FractionalIVP(1.0, QUICKSTART, 4.0, 500.0)
+    for method in SolverMethod:
+        assert np.isfinite(solve(ivp, 3000, method).values).all()
+
+
+@pytest.mark.parametrize("method", list(SolverMethod))
+def test_order_one_holds_an_equilibrium_to_the_last_ulps(method):
+    # x = 6 is the stable equilibrium.  A plain running sum of f stalls 107
+    # ulps below it after 1e5 steps; the direct and compensated sums end
+    # within 2 ulps.
+    ivp = FractionalIVP(1.0, Logistic(0.5, 10.0, 0.2), 4.0, 500.0)
+    final = solve(ivp, 10**5, method).values[-1]
+    assert abs(final - 6.0) <= 2 * math.ulp(6.0)
 
 
 def test_grid_shape_and_validation():

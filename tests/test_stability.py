@@ -103,14 +103,18 @@ def test_non_finite_eigenvalue_raises():
         equilibria(Cubic(1e308, 1.0, -1.0))
 
 
-@pytest.mark.xfail(strict=True, reason="b*b underflows in the scaled discriminant (ROADMAP item 19)")
 def test_roots_with_an_underflowed_discriminant():
-    # |b| is below about 1e-154 of |a|, so b*b underflows after scaling and
-    # the discriminant band reports a false double root.  x**2 (1e191 x - 1)
-    # has the simple root 1e-191, where lambda = 1e-191 > 0.
+    # |b| is below about 1e-154 of |a|, so b*b underflows on one common
+    # scale, and a scaled discriminant of 0 would give a false double root.
+    # x**2 (1e191 x - 1) has the simple root 1e-191, where lambda = 1e-191 > 0.
     reports = equilibria(Cubic(1e191, -1.0, 0.0))
     assert [r.classification for r in reports] == [INC, U]
     assert [r.x_eq for r in reports] == pytest.approx([0.0, 1e-191], rel=1e-12, abs=0.0)
+    # x (1e300 x**2 - 1e-300) has the simple roots -/+1e-300, where lambda
+    # is 2e-300 > 0, though 4ac scales to 0 beside the largest coefficient.
+    reports = equilibria(Cubic(1e300, 0.0, -1e-300))
+    assert [r.classification for r in reports] == [U, AS, U]
+    assert [r.x_eq for r in reports] == pytest.approx([-1e-300, 0.0, 1e-300], rel=1e-12, abs=0.0)
     # -1e194 x**2 - x - 1e-192 has discriminant 1 - 400 < 0: only the origin.
     got = [(r.x_eq, r.classification) for r in equilibria(Cubic(-1e194, -1.0, -1e-192))]
     assert got == [(0.0, AS)]
