@@ -8,17 +8,19 @@ independent of alpha on (0, 1]: positive eigenvalues are unstable, negative
 ones asymptotically stable, and a vanishing eigenvalue is inconclusive at
 this linearization order.
 
-Every tolerance is relative to the size of the terms it compares against,
-with no absolute floor.  Rescaling time multiplies a, b and c by one positive
-factor, so it changes no equilibrium, tag or multiplicity.
+Each root and eigenvalue is a product of numbers near 1, the coefficients'
+exact frexp mantissas among them, times an exact power of two: it overflows
+or underflows only where its true value does, and its sign survives an
+underflow.  Every tolerance is relative to the size of its terms, so
+rescaling time (a, b and c times one positive factor) changes no
+equilibrium, tag or multiplicity.
 """
 
 import math
-import sys
 from dataclasses import dataclass
 from enum import Enum
 
-from .models import Allee, Cubic, Logistic, _check, rhs_eval
+from .models import Allee, Cubic, Logistic, _check
 
 __all__ = [
     "Classification",
@@ -51,84 +53,76 @@ class EquilibriumReport:
     multiplicity: int
 
 
-def _report(coeffs: Cubic, x: float) -> EquilibriumReport:
-    """Tag of the root x from lambda = f'(x), and its multiplicity.
+def _ldexp(m: float, e: int, name: str) -> float:
+    """m * 2**e, or ArithmeticError naming the value where that overflows."""
+    try:
+        return math.ldexp(m, e)
+    except OverflowError:
+        raise ArithmeticError(f"{name} {m!r} * 2**{e}, beyond double range") from None
 
-    ArithmeticError unless |f(x)| is within 1e-9 of the size of f's terms, a
-    Horner sum that no power of x overflows alone and that must be finite.
-    lambda is c exactly at the origin, and ArithmeticError elsewhere unless it
-    is finite.  It vanishes within 1e-12 of the size of its terms, and a
-    vanishing lambda is inconclusive, of multiplicity 2 or 3.
+
+def _report(coeffs: Cubic, m: float, e: int, lam_m: float, lam_e: int) -> EquilibriumReport:
+    """The equilibrium x = m * 2**e, tagged by the sign of f'(x) = lam_m * 2**lam_e.
+
+    ArithmeticError where x or f'(x) overflows, or unless |f(x)| is within
+    1e-9 of the size of f's terms, each scaled relative to the largest.  lam_m
+    is 0 only at a double root and at the origin with c = 0 (triple if b = 0).
     """
-    a, b, c = coeffs.a, coeffs.b, coeffs.c
-    x_abs = abs(x)
-    size = ((abs(a) * x_abs + abs(b)) * x_abs + abs(c)) * x_abs
-    residual = rhs_eval(coeffs, x)
-    if not abs(residual) <= 1e-9 * size < math.inf:
+    x = _ldexp(m, e, "an equilibrium is")
+    parts = map(math.frexp, (coeffs.c, coeffs.b, coeffs.a))
+    terms = [(mk * m**p, ek + p * e) for p, (mk, ek) in enumerate(parts, 1) if mk != 0.0]
+    top = max(ek for _, ek in terms)
+    scaled = [math.ldexp(t, ek - top) for t, ek in terms]
+    residual, size = sum(scaled), sum(map(abs, scaled))
+    if not abs(residual) <= 1e-9 * size:
         raise ArithmeticError(
             f"x = {x!r} is not an equilibrium: residual {residual!r}, size {size!r}"
         )
-    if x == 0.0:
-        lam, band = c, 0.0  # f'(0) = c, with no product of a or b to overflow
-    else:
-        lam = (3.0 * a * x + 2.0 * b) * x + c
-        band = 1e-12 * ((3.0 * abs(a) * x_abs + 2.0 * abs(b)) * x_abs + abs(c))
-        if not math.isfinite(lam):
-            raise ArithmeticError(f"lambda at x = {x!r} is {lam!r}, beyond double range")
-    if lam > band:
+    lam = _ldexp(lam_m, lam_e, f"lambda at x = {x!r} is")
+    if lam_m > 0.0:
         tag, mult = Classification.UNSTABLE, 1
-    elif lam < -band:
+    elif lam_m < 0.0:
         tag, mult = Classification.ASYMPTOTICALLY_STABLE, 1
     else:
-        # f = x * (a*x**2 + b*x + c): only the origin, with b = c = 0, is triple.
-        tag, mult = Classification.INCONCLUSIVE, 3 if x == 0.0 and b == c == 0.0 else 2
+        tag, mult = Classification.INCONCLUSIVE, 3 if m == 0.0 and coeffs.b == 0.0 else 2
     return EquilibriumReport(x_eq=x, lam=lam, classification=tag, multiplicity=mult)
 
 
 def equilibria(coeffs: Cubic) -> list[EquilibriumReport]:
     """All real roots of a*x**3 + b*x**2 + c*x = 0, tagged, in ascending order.
 
-    x = 0 is always a root.  The quadratic factor, scaled exactly by a power of
-    two so that b*b cannot overflow, has the cancellation-free roots q/a and c/q
-    with q = -(b + sign(b)*sqrt(disc))/2, or the one double root -b/(2a) when
-    the discriminant is within 1e-12 of the size of its terms.  Where b*b
-    underflows on that scale, x is scaled by a power of two as well, to the
-    roots' size.  Distinct roots then differ by more than 1e-6 of their size,
-    so only equal roots merge.  A root that fails either check of ``_report``
-    raises ArithmeticError.
+    x = 0 is always a root, with f'(0) = c.  Where a = 0, the root -c/b has
+    f' = -c.  Otherwise the quadratic factor, scaled by 4**-h so that the
+    larger of b*b and 4ac is near 1, has the cancellation-free roots q/a and
+    c/q with q = -(b + s)/2 and s = sign(b)*sqrt(disc), where f'(x) =
+    x (2 a x + b) is -x*s and x*s, or the one double root -b/(2a) when the
+    discriminant is within 1e-12 of the size of its terms.  Distinct roots
+    then differ by more than 1e-6 of their size, so only equal roots merge.
     """
     if coeffs.a == 0.0 and coeffs.b == 0.0 and coeffs.c == 0.0:
         raise DegenerateModelError("a = b = c = 0 leaves every state stationary")
-    shift = -math.frexp(max(abs(coeffs.a), abs(coeffs.b), abs(coeffs.c)))[1]
-    a, b, c = (math.ldexp(v, shift) for v in (coeffs.a, coeffs.b, coeffs.c))
-    k = 0
-    if a != 0.0 and b * b < sys.float_info.min:
-        # b*b underflows, so b is far below the largest of a and c, and 4ac
-        # may underflow with it.  With x = 2**k y and 2**k near the larger
-        # root size, max(|b/a|, sqrt|c/a|), the quadratic in y has |a| in
-        # [0.5, 1), |b| < 1 and |c| < 2 with b or c near 1, so a term of the
-        # discriminant underflows only where the other swamps it.
-        ea = math.frexp(coeffs.a)[1]
-        sizes = [math.frexp(coeffs.b)[1] - ea] if coeffs.b else []
-        if coeffs.c:
-            sizes.append((math.frexp(coeffs.c)[1] - ea) // 2)
-        k = max(sizes, default=0)
-        a = math.ldexp(coeffs.a, -ea)
-        b = math.ldexp(coeffs.b, -ea - k)
-        c = math.ldexp(coeffs.c, -ea - 2 * k)
-    roots = [0.0]
-    if a != 0.0:
-        disc = b * b - 4.0 * a * c
-        if abs(disc) <= 1e-12 * (b * b + 4.0 * abs(a * c)):
-            roots.append(math.ldexp(-b / (2.0 * a), k))
+    (ma, ea), (mb, eb), (mc, ec) = map(math.frexp, (coeffs.a, coeffs.b, coeffs.c))
+    roots = []
+    if ma == 0.0:
+        if mb != 0.0 and mc != 0.0:
+            roots.append((-mc / mb, ec - eb, -mc, ec))
+    elif mb != 0.0 or mc != 0.0:
+        # frexp(0.0) has exponent 0, so a zero coefficient takes no part in h.
+        h = max(eh for mk, eh in ((mb, eb), (mc, (ea + ec + 1) // 2)) if mk != 0.0)
+        b = math.ldexp(mb, eb - h)
+        ac4 = math.ldexp(4.0 * ma * mc, ea + ec - 2 * h)
+        disc = b * b - ac4
+        if abs(disc) <= 1e-12 * (b * b + abs(ac4)):
+            roots.append((-b / (2.0 * ma), h - ea, 0.0, 0))
         elif disc > 0.0:
-            q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
-            roots += [math.ldexp(q / a, k), math.ldexp(c / q, k)]
-    elif b != 0.0:
-        roots.append(-c / b)
-
-    # set() keeps the first of 0.0 and -0.0, the origin's 0.0.
-    return [_report(coeffs, x) for x in sorted(set(roots))]
+            s = math.copysign(math.sqrt(disc), b)
+            q = -0.5 * (b + s)
+            roots += [(q / ma, h - ea, -s * q / ma, 2 * h - ea), (mc / q, ec - h, s * mc / q, ec)]
+    # f'(0) = c.  The origin comes last, so it replaces c/q = 0 and any root
+    # that underflows to 0.0 or -0.0.
+    roots.append((0.0, 0, mc, ec))
+    reports = {report.x_eq: report for report in (_report(coeffs, *root) for root in roots)}
+    return [reports[x] for x in sorted(reports)]
 
 
 def classify_all(coeffs: Cubic, alpha: float) -> list[EquilibriumReport]:

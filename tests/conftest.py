@@ -1,12 +1,13 @@
 """Shared oracles and reporting helpers for the test suite.
 
-Three independent sources of truth back the library code:
+Four independent sources of truth back the library code:
 
 * 60-digit partial sums of the Mittag-Leffler series (mpmath) for the linear
   relaxation problem, and of its asymptotic series for long horizons,
 * the classical logistic closed form at alpha = 1,
 * a perturb-and-integrate probe that tags an equilibrium by whether nearby
-  trajectories approach it or escape from it.
+  trajectories approach it or escape from it,
+* the equilibria of a cubic and their eigenvalues in 80-digit arithmetic.
 
 Acceptance tests register one verdict line each through record_acceptance;
 the terminal-summary hook reprints them after the run so the per-criterion
@@ -105,6 +106,37 @@ def simulated_tag(
             return Classification.ASYMPTOTICALLY_STABLE
         horizon *= 3.0
     return None
+
+
+def cubic_equilibria(a: float, b: float, c: float) -> list[tuple]:
+    """(x, f'(x), tag, multiplicity) of each equilibrium, in 80-digit arithmetic.
+
+    The roots of a*x**2 + b*x + c take the cancellation-free form q/a and c/q
+    (the naive formula loses every digit of the small root), and f'(x) =
+    x (2 a x + b) is evaluated on them.  The discriminant keeps the library's
+    relative 1e-12 band for a double root.  mpmath has no exponent range, so
+    roots and eigenvalues past double range come out as they are.
+    """
+    def tag(lam):
+        return Classification.UNSTABLE if lam > 0 else (
+            Classification.ASYMPTOTICALLY_STABLE if lam < 0 else Classification.INCONCLUSIVE
+        )
+
+    with mp.workdps(80):
+        a, b, c = mp.mpf(a), mp.mpf(b), mp.mpf(c)
+        found = [(mp.mpf(0), c, tag(c), 1 if c else 3 if b == 0 else 2)]
+        roots = [-c / b] if a == 0 and b and c else []
+        if a and (b or c):
+            disc = b * b - 4 * a * c
+            if abs(disc) <= mp.mpf("1e-12") * (b * b + 4 * abs(a * c)):
+                found.append((-b / (2 * a), mp.mpf(0), Classification.INCONCLUSIVE, 2))
+            elif disc > 0:
+                q = -(b + mp.sqrt(disc) * (1 if b >= 0 else -1)) / 2
+                roots += [root for root in (q / a, c / q) if root]
+        for root in roots:
+            lam = root * (2 * a * root + b)
+            found.append((root, lam, tag(lam), 1))
+        return sorted(found, key=lambda report: report[0])
 
 
 def pytest_terminal_summary(terminalreporter):

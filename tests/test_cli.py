@@ -314,6 +314,29 @@ def test_equilibria_prints_multiplicity(capsys):
         assert [line for line in out.splitlines() if line.startswith("x_eq")] == want
 
 
+def test_equilibria_at_extreme_coefficient_ratios(capsys):
+    # 3*a overflows at a = 1e308, yet f'(-/+1e-154) = 2.  At the critical
+    # Allee effort the double root's eigenvalue is 0 exactly.  At a = 1e300,
+    # b = 1e308 the root -1e8 has f' = 1e316, past double range.
+    for flags, want in (
+        (("cubic", "--a", "1e308", "--b", "1", "--c", "-1"),
+         ["x_eq = -1e-154\tlambda = 2\tU", "x_eq = 0\tlambda = -1\tAS",
+          "x_eq = 1e-154\tlambda = 2\tU"]),
+        (("allee-harvest", "--r", "0.5", "--K", "10", "--m", "1", "--E", "1.0125"),
+         ["x_eq = 0\tlambda = -1.5125\tAS", "x_eq = 5.5\tlambda = 0\tINC\t(multiplicity 2)"]),
+    ):
+        code, out, err = run_cli(capsys, "equilibria", "--model", *flags, "--alpha", "0.5")
+        assert (code, err) == (0, "")
+        assert [line for line in out.splitlines() if line.startswith("x_eq")] == want
+    code, out, err = run_cli(
+        capsys, "equilibria", "--model", "cubic", "--a", "1e300", "--b", "1e308",
+        "--c", "1e-300", "--alpha", "0.5",
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: lambda at x = -100000000.0 is ")
+    assert err.endswith(", beyond double range\n")
+
+
 def test_equilibria_degenerate_exit_code(capsys):
     code, out, err = run_cli(
         capsys, "equilibria", "--model", "cubic", "--a", "0", "--b", "0",
@@ -455,6 +478,17 @@ def test_convergence_linear_reference_at_order_one_is_exponential(capsys):
     assert code == 0
     assert err == ""
     assert sum(line.startswith("n = ") for line in out.splitlines()) == 5
+
+
+def test_convergence_linear_reference_on_the_positive_axis(capsys):
+    # On the positive axis no Mittag-Leffler term cancels, so the series is
+    # accurate relative to its size, here about 1e9 at z = 4.47.
+    code, out, err = run_cli(
+        capsys, "convergence", "--model", "cubic", "--a", "0", "--b", "0", "--c", "1",
+        "--alpha", "0.5", "--x0", "1", "--t-final", "20",
+    )
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "order = 0.8215"
 
 
 def test_convergence_requires_reference(capsys):

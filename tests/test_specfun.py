@@ -56,6 +56,15 @@ def test_ml_usable_domain_edge():
         mittag_leffler(0.5, -4.0)
 
 
+def test_ml_positive_axis_is_relative():
+    # No term cancels for z > 0, so the value is as accurate as its terms,
+    # relative to its size: these passed 4.3e5, where a 1e-10 absolute rule
+    # refused them, though the series had converged.
+    for alpha, z in [(0.5, 4.0), (0.9, 12.0), (1.0, 16.0)]:
+        want = ml_series(alpha, z)
+        assert abs(mittag_leffler(alpha, z) - want) <= 1e-15 * want
+
+
 def test_ml_domain_errors():
     for alpha in (0.0, -0.5, 1.1):
         with pytest.raises(ValueError):
@@ -66,8 +75,9 @@ def test_ml_domain_errors():
 
 
 def test_ml_raises_when_series_cannot_deliver():
-    # Large |z| at small alpha: the capped, cancellation-limited sum cannot
-    # reach 1e-10 absolute accuracy, and must say so instead of guessing.
+    # Large |z| at small alpha: the capped sum cannot reach 1e-10 accuracy,
+    # cancelling on the negative axis and unconverged after 200 terms on the
+    # positive one, and must say so instead of guessing.
     for alpha, z in [(0.25, -25.0), (0.3, 28.0)]:
         with pytest.raises(ArithmeticError):
             mittag_leffler(alpha, z)

@@ -1,11 +1,12 @@
 """Equilibrium finding, eigenvalue classification, and the harvest thresholds."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from conftest import simulated_tag
+from conftest import cubic_equilibria, simulated_tag
 from fracpop import (
     AlleeHarvest,
     Classification,
@@ -96,11 +97,32 @@ def test_origin_eigenvalue_is_c_past_overflow():
     )
 
 
-def test_non_finite_eigenvalue_raises():
-    # 1e308 x**3 + x**2 - x has simple roots near -/+1e-154, where 3*a*x
-    # overflows, so no eigenvalue and no tag can be formed.
-    with pytest.raises(ArithmeticError, match=r"lambda at x = .* is inf, beyond double range"):
-        equilibria(Cubic(1e308, 1.0, -1.0))
+def test_eigenvalue_where_3a_overflows():
+    # 1e308 x**3 + x**2 - x has simple roots near -/+1e-154.  3*a overflows,
+    # but f'(x) = x (2 a x + b) is 2 there, a product of numbers near 1 times
+    # an exact power of two.
+    got = [(r.x_eq, r.lam, r.classification) for r in equilibria(Cubic(1e308, 1.0, -1.0))]
+    assert got == [(-1e-154, 2.0, U), (0.0, -1.0, AS), (1e-154, 2.0, U)]
+
+
+def test_underflowing_eigenvalue_keeps_its_sign():
+    # f'(x) = b*b/a = 1.8e-589 > 0 at the root -b/a = 5.1e-291: lambda
+    # underflows to 0, but its sign, so the tag U, survives.
+    reports = equilibria(Cubic(6.6352717006908e-09, -3.4141402435045707e-299, 0.0))
+    assert [(r.classification, r.multiplicity) for r in reports] == [(INC, 2), (U, 1)]
+    assert reports[1].x_eq == pytest.approx(5.145441509424736e-291, rel=1e-12, abs=0.0)
+    assert reports[1].lam == 0.0
+
+
+def test_roots_far_from_the_largest_coefficient_are_kept_or_refused():
+    # a = 5e-324 is 1e-334 of c, yet the root -b/a = -2.02e183, where
+    # f'(x) = 2.02e43 > 0, is kept.
+    got = [(r.x_eq, r.classification) for r in equilibria(Cubic(5e-324, 1e-140, 1e10))]
+    assert [tag for _, tag in got] == [U, AS, U]
+    assert [x for x, _ in got] == pytest.approx([-2.024022533073106e183, -1e150, 0.0], rel=1e-12)
+    # -c/b = 4.47e325 is past double range: refused, not dropped.
+    with pytest.raises(ArithmeticError, match=r"^an equilibrium is .* \* 2\*\*1082, beyond"):
+        equilibria(Cubic(0.0, 1.6508793965677024e-137, -7.387323104438517e188))
 
 
 def test_roots_with_an_underflowed_discriminant():
@@ -138,10 +160,55 @@ def test_equilibria_far_from_unit_scale():
         assert [(r.classification, r.multiplicity) for r in reports] == [(U, 1), (AS, 1), (U, 1)]
 
 
+def test_equilibria_match_an_80_digit_oracle():
+    # Seeded random cubics: each coefficient is 0 with probability 0.08 and
+    # otherwise +/-10**e, e uniform on [-20, 20] or [-320, 308] by a coin
+    # flip.  Roots must hold to 1e-12 and normal eigenvalues to 1e-9
+    # relative, tags and multiplicities exactly.  A refusal is right only
+    # where a true root or eigenvalue leaves double range, and a root below
+    # the smallest normal double may merge into the origin.
+    top, tiny = sys.float_info.max, sys.float_info.min
+
+    def matches(report, want):
+        x, lam, tag, mult = want
+        return (
+            abs(report.x_eq - x) <= 1e-12 * abs(x) + (2.0**-1074 if x else 0.0)
+            and (report.classification, report.multiplicity) == (tag, mult)
+            and (abs(lam) < tiny or abs(report.lam - lam) <= 1e-9 * abs(lam))
+        )
+
+    rng = np.random.default_rng(2026)
+    answered = 0
+    for _ in range(2000):
+        lo, hi = (-320, 308) if rng.random() < 0.5 else (-20, 20)
+        coeffs = Cubic(*(
+            0.0 if rng.random() < 0.08 else rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(lo, hi)
+            for _ in range(3)
+        ))
+        if coeffs == Cubic(0.0, 0.0, 0.0):
+            continue
+        want = cubic_equilibria(coeffs.a, coeffs.b, coeffs.c)
+        largest = max(max(abs(x), abs(lam)) for x, lam, _, _ in want)
+        try:
+            reports = equilibria(coeffs)
+        except ArithmeticError:
+            assert largest > top * (1.0 - 1e-12), coeffs
+            continue
+        assert largest <= top * (1.0 + 1e-12), coeffs
+        pending = iter(want)
+        for report in reports:
+            expected = next(pending)
+            while 0 < abs(expected[0]) < tiny and not matches(report, expected):
+                expected = next(pending)
+            assert matches(report, expected), (coeffs, report, expected)
+        assert all(0 < abs(x) < tiny for x, _, _, _ in pending), coeffs
+        answered += 1
+    assert answered > 1700
+
+
 def test_equilibria_unrepresentable_root_raises():
-    # The root -1e8 is exact, but a*x**3 overflows there, so no residual or
-    # eigenvalue can be formed.
-    with pytest.raises(ArithmeticError, match="is not an equilibrium"):
+    # The root -1e8 is exact, but f'(-1e8) = 1e316 is past double range.
+    with pytest.raises(ArithmeticError, match=r"^lambda at x = -100000000\.0 is .* beyond double"):
         equilibria(Cubic(1e300, 1e308, 1e-300))
 
 
