@@ -200,10 +200,12 @@ def cmd_equilibria(args: argparse.Namespace) -> None:
     coeffs = to_cubic(model)
     reports = classify_all(coeffs, args.alpha)
     print(f"model = {args.model}, alpha = {args.alpha:g}")
-    print(f"cubic coefficients: a = {coeffs.a:.12g}, b = {coeffs.b:.12g}, c = {coeffs.c:.12g}")
+    # Adding 0.0 turns a negative zero into 0, which prints without a sign.
+    a, b, c = coeffs.a + 0.0, coeffs.b + 0.0, coeffs.c + 0.0
+    print(f"cubic coefficients: a = {a:.12g}, b = {b:.12g}, c = {c:.12g}")
     for report in reports:
         tag = report.classification.value
-        line = f"x_eq = {report.x_eq:.12g}\tlambda = {report.lam:.12g}\t{tag}"
+        line = f"x_eq = {report.x_eq + 0.0:.12g}\tlambda = {report.lam + 0.0:.12g}\t{tag}"
         if report.multiplicity > 1:
             line += f"\t(multiplicity {report.multiplicity})"
         print(line)

@@ -16,10 +16,14 @@ of 1,024 dividing the leaf's start adds its part to the next steps' far sums
 by ``numpy.fft``, in sub-squares of at most 8,192 x 8,192 nodes.  The leaves
 cost at most 1,024 multiply-adds per step and kernel; the transforms grow
 like n log n up to the cap and like n**2 / 8,192 past it.  A solve of at
-most 1,024 steps is one leaf: pure direct sums.  The loop holds ``u``,
-``frev``, ``db`` and, for PECE, ``c2``, each of n + 1 floats; the set-up
-holds at most one array more.  At n = 1e6 a PECE solve peaks at 40.0 MB in
-its set-up (32.9 MB in the loop) and an Euler solve at 24.7 MB in its loop.
+most 1,024 steps is one leaf: pure direct sums.  At n = 1e5 a step costs
+about 1.4 microseconds (Euler) or 2.5 (PECE), far sums included, on one
+BLAS thread of a 2-core x86-64 host.  The loop holds ``u``, ``frev``,
+``db`` and, for PECE, ``c2``, each of n + 1 floats, and lists of at most
+1,024 views, 0.12 MB each: the weight prefixes, built once, and a leaf's
+history windows.  The set-up holds at most one array more.  At n = 1e6 a
+PECE solve peaks at 40.1 MB in its set-up (33.1 MB in the loop) and an
+Euler solve at 25.0 MB in its loop.
 
 At alpha = 1 every weight is constant (db = 1, and for PECE a0 = 1 and
 c2 = 2), so the schemes are forward Euler and the one-step trapezoidal
@@ -210,28 +214,37 @@ def solve(ivp: FractionalIVP, n_steps: int, method: SolverMethod | str) -> Traje
         np.multiply(a0, f0, out=far_c)
         del a0
         kernels.append((c2, far_c, True))
+    # ndarray.dot is np.dot's C routine without the __array_function__
+    # dispatch.  Step i of a leaf weights its i + 1 nodes by lags 0..i, so
+    # one list of weight views serves every leaf.
+    dot, rhs, limit = np.ndarray.dot, rhs_eval, BLOWUP_LIMIT
+    w_p = [db[: i + 1] for i in range(min(n, _LEAF))]
+    w_c = [c2[: i + 1] for i in range(min(n, _LEAF))] if corrected else w_p
     for lo in range(0, n, _LEAF):
         if lo:
             _add_far(frev[::-1], kernels, lo, lo & -lo)
         hi = min(lo + _LEAF, n)
-        # Node j enters step m of this leaf directly when lo <= j (1 <= j
-        # for the corrector): with back = n - m the dots read frev[back:top].
-        top_p = n - lo + 1
-        top_c = min(top_p, n)
+        # Node j enters step m of this leaf directly when lo <= j: with
+        # back = n - m the dots read frev[back : n - lo + 1].
+        backs = range(n - lo, n - hi, -1)
+        x_p = [frev[back : n - lo + 1] for back in backs]
+        x_c, v_c = x_p, w_c
+        if corrected and not lo:
+            # The first leaf's corrector leaves node 0 out: i nodes, lags 0..i-1.
+            x_c, v_c = [frev[back:n] for back in backs], [c2[:0], *w_c]
         near_p = u[lo + 1 : hi + 1].tolist()
         near_c = far_c[lo:hi].tolist() if corrected else near_p
         values = []
-        for back, hist_p, hist_c in zip(range(n - lo, n - hi, -1), near_p, near_c):
-            hist_p += float(np.dot(db[: top_p - back], frev[back:top_p]))
-            value = x0 + pref_p * hist_p
+        keep = values.append
+        for back, hist_p, hist_c, wp, xp, wc, xc in zip(backs, near_p, near_c, w_p, x_p, v_c, x_c):
+            value = x0 + pref_p * (hist_p + float(dot(wp, xp)))
             if corrected:
-                f_pred = rhs_eval(coeffs, value)
-                hist_c += float(np.dot(c2[: top_c - back], frev[back:top_c]))
-                value = x0 + pref_c * (hist_c + f_pred)
-            if not abs(value) <= BLOWUP_LIMIT:
+                f_pred = rhs(coeffs, value)
+                value = x0 + pref_c * ((hist_c + float(dot(wc, xc))) + f_pred)
+            if not abs(value) <= limit:
                 raise BlowUpError(n - back + 1, (n - back + 1) * h, value)
-            values.append(value)
-            frev[back - 1] = rhs_eval(coeffs, value)
+            keep(value)
+            frev[back - 1] = rhs(coeffs, value)
         u[lo + 1 : hi + 1] = values
     return Trajectory(grid=grid, values=u)
 

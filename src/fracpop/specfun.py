@@ -26,10 +26,11 @@ def mittag_leffler(alpha: float, z: float) -> float:
     below 1e-16 of the running sum, with a hard cap of 200 terms.  Arguments
     outside alpha in (0, 1] and |z| <= 30 raise ValueError.  Inside that box
     the sum must also be finite and within 1e-10 of max(1, |E|) by those 200
-    terms, or an ArithmeticError is raised rather than a wrong value.  On
-    the negative axis (0 < E <= 1) cancellation sets the domain: it raises
-    from about z = -1.7 at alpha = 0.25, -2.1 at 0.3, -3.9 at 0.5, -7.7 at
-    0.75, -11.6 at 0.9 and -15.2 at 1 (``mittag_leffler(0.5, -3.8)`` returns,
+    terms, or an ArithmeticError naming the limit that failed is raised
+    rather than a wrong value.  On the negative axis (0 < E <= 1)
+    cancellation sets the domain: it raises from about z = -1.7 at
+    alpha = 0.25, -2.1 at 0.3, -3.9 at 0.5, -7.7 at 0.75, -11.6 at 0.9 and
+    -15.2 at 1 (``mittag_leffler(0.5, -3.8)`` returns,
     ``mittag_leffler(0.5, -4.0)`` raises).  On the positive axis the 200-term
     cap does, from about z = 1.9 at alpha = 0.25, 6.3 at 0.5 and 24.5 at 0.75.
     """
@@ -44,13 +45,20 @@ def mittag_leffler(alpha: float, z: float) -> float:
         term = z**k / math.gamma(alpha * k + 1.0)
         terms.append(term)
         if abs(term) < _ML_STOP_FACTOR * abs(running):
-            # eps * peak bounds the cancellation error of the compensated sum.
-            total = math.fsum(terms)
-            if max(map(abs, terms)) * 2.3e-16 <= _ML_TOL * max(1.0, abs(total)) < math.inf:
-                return total
             break
         running += term
-    raise ArithmeticError(
-        f"Mittag-Leffler series did not reach 1e-10 accuracy for "
-        f"alpha={alpha!r}, z={z!r} within {_ML_MAX_TERMS} terms"
-    )
+    else:
+        raise ArithmeticError(
+            f"Mittag-Leffler series did not converge within {_ML_MAX_TERMS} terms "
+            f"for alpha={alpha!r}, z={z!r}"
+        )
+    total = math.fsum(terms)
+    if not math.isfinite(total):
+        raise ArithmeticError(f"Mittag-Leffler series sum is not finite for alpha={alpha!r}, z={z!r}")
+    # eps * peak bounds the cancellation error of the compensated sum.
+    if max(map(abs, terms)) * 2.3e-16 > _ML_TOL * max(1.0, abs(total)):
+        raise ArithmeticError(
+            f"Mittag-Leffler series terms cancel beyond 1e-10 of max(1, |E|) "
+            f"for alpha={alpha!r}, z={z!r} (stopped at k = {k})"
+        )
+    return total

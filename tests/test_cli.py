@@ -314,6 +314,18 @@ def test_equilibria_prints_multiplicity(capsys):
         assert [line for line in out.splitlines() if line.startswith("x_eq")] == want
 
 
+def test_equilibria_prints_no_negative_zero(capsys):
+    # c = -0 makes the origin a double root whose eigenvalue is c itself.
+    code, out, err = run_cli(capsys, "equilibria", "--model", "cubic", "--a", "1", "--b", "1",
+                             "--c", "-0", "--alpha", "0.5")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1:] == [
+        "cubic coefficients: a = 1, b = 1, c = 0",
+        "x_eq = -1\tlambda = 1\tU",
+        "x_eq = 0\tlambda = 0\tINC\t(multiplicity 2)",
+    ]
+
+
 def test_equilibria_at_extreme_coefficient_ratios(capsys):
     # 3*a overflows at a = 1e308, yet f'(-/+1e-154) = 2.  At the critical
     # Allee effort the double root's eigenvalue is 0 exactly.  At a = 1e300,
@@ -514,8 +526,8 @@ def test_convergence_requires_reference(capsys):
     assert code == 2
     assert out == ""
     assert err == (
-        "error: Mittag-Leffler series did not reach 1e-10 accuracy for "
-        "alpha=0.5, z=-4.47213595499958 within 200 terms\n"
+        "error: Mittag-Leffler series terms cancel beyond 1e-10 of max(1, |E|) "
+        "for alpha=0.5, z=-4.47213595499958 (stopped at k = 167)\n"
     )
     # On the unstable equilibrium x0 = -c/b the closed form cancels.
     code, out, err = run_cli(

@@ -299,13 +299,23 @@ def history_scale(ivp, method, values):
 QUICKSTART = LogisticHarvest(0.5, 10.0, 0.2)
 
 
-@pytest.mark.parametrize("n", [1, 40, 1023, 1024])
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.75])
+@pytest.mark.parametrize("n", [1, 2, 40, 1023, 1024])
 @pytest.mark.parametrize("method", list(SolverMethod))
-def test_one_leaf_is_the_direct_sum(n, method):
+def test_one_leaf_is_the_direct_sum(n, method, alpha):
     # Up to one leaf of steps no far sum is formed: the values are the
-    # direct sums' bit for bit, signs of zero included.
-    ivp = FractionalIVP(0.5, QUICKSTART, 4.0, 500.0)
-    assert solve(ivp, n, method).values.tobytes() == direct_solve(ivp, n, method).tobytes()
+    # direct sums' bit for bit, signs of zero included, the corrector's
+    # sums without node 0's weight among them.  At h = 250 PECE blows up at
+    # step 2 for alpha = 0.75; then the blow-up must match bit for bit.
+    ivp = FractionalIVP(alpha, QUICKSTART, 4.0, 500.0)
+    try:
+        want = direct_solve(ivp, n, method).tobytes()
+    except BlowUpError as exc:
+        with pytest.raises(BlowUpError) as info:
+            solve(ivp, n, method)
+        assert (info.value.step_index, info.value.value.hex()) == (exc.step_index, exc.value.hex())
+    else:
+        assert solve(ivp, n, method).values.tobytes() == want
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0])

@@ -75,13 +75,24 @@ def test_ml_domain_errors():
 
 
 def test_ml_raises_when_series_cannot_deliver():
-    # Large |z| at small alpha: the capped sum cannot reach 1e-10 accuracy,
-    # cancelling on the negative axis and unconverged after 200 terms on the
-    # positive one, and must say so instead of guessing.
+    # Each refusal names the limit that stopped the series.  Large |z| at
+    # small alpha: 200 terms do not converge, on either axis.
     for alpha, z in [(0.25, -25.0), (0.3, 28.0)]:
-        with pytest.raises(ArithmeticError):
+        with pytest.raises(ArithmeticError) as info:
             mittag_leffler(alpha, z)
+        assert str(info.value) == (
+            f"Mittag-Leffler series did not converge within 200 terms for alpha={alpha}, z={z}"
+        )
     # Tiny alpha at |z| < 1: no term exceeds 1, so cancellation is harmless,
     # but the terms shrink like 0.9**k and 200 of them stop short of 1e-16.
-    with pytest.raises(ArithmeticError, match="within 200 terms"):
+    with pytest.raises(ArithmeticError, match=(
+        r"^Mittag-Leffler series did not converge within 200 terms for alpha=0\.02, z=-0\.9$"
+    )):
         mittag_leffler(0.02, -0.9)
+    # Past about z = -3.9 at alpha = 0.5 the terms converge by k = 144 but
+    # cancel by more than the accuracy rule allows.
+    with pytest.raises(ArithmeticError, match=(
+        r"^Mittag-Leffler series terms cancel beyond 1e-10 of max\(1, \|E\|\) "
+        r"for alpha=0\.5, z=-4\.0 \(stopped at k = 144\)$"
+    )):
+        mittag_leffler(0.5, -4.0)
