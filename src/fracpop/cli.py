@@ -29,7 +29,7 @@ from .models import (
     existence_bound,
     to_cubic,
 )
-from .solver import BlowUpError, SolverMethod, Trajectory, convergence_study, solve
+from .solver import BlowUpError, SolverMethod, convergence_study, solve
 from .stability import classify_all
 
 __all__ = ["main"]
@@ -155,12 +155,6 @@ def _build_model(args: argparse.Namespace, **override: float | None) -> ModelSpe
     return _MODELS[args.model](**{name: params[name] for name in required})
 
 
-def _write_csv(path: Path, trajectory: Trajectory) -> None:
-    rows = zip(trajectory.grid.times.tolist(), trajectory.values.tolist())
-    text = "".join("%.17g,%.17g\n" % row for row in rows)
-    path.write_text("t,x\n" + text, encoding="ascii")
-
-
 def cmd_simulate(args: argparse.Namespace) -> None:
     """Build every sweep member and its CSV path, then solve and write each.
     The first solve validates the grid, so a bad value fails before any write."""
@@ -171,7 +165,8 @@ def cmd_simulate(args: argparse.Namespace) -> None:
         for alpha, x0 in itertools.product(args.alpha, args.x0):
             ivp = FractionalIVP(alpha=alpha, model=model, x0=x0, t_final=args.t_final)
             swept = {"alpha": alpha, "x0": x0, "E": effort}
-            label = {name: f"{value:g}" for name, value in swept.items() if value is not None}
+            # Adding 0.0 names -0 and 0 alike, so they collide like other equal labels.
+            label = {name: f"{v + 0.0:g}" for name, v in swept.items() if v is not None}
             # File names keep 6 significant digits, so distinct values can collide.
             stem = "_".join([args.model, *(name + text for name, text in label.items())])
             path = out_dir / f"{stem}.csv"
@@ -182,6 +177,7 @@ def cmd_simulate(args: argparse.Namespace) -> None:
     # capped before rounding, as 10 * t_final may overflow to inf.
     default_steps = max(1, round(min(_MAX_DEFAULT_STEPS, 10.0 * args.t_final)))
     n_steps = default_steps if args.n_steps is None else args.n_steps
+    template = ""
     for path, (ivp, label) in members.items():
         try:
             trajectory = solve(ivp, n_steps, args.method)
@@ -191,7 +187,10 @@ def cmd_simulate(args: argparse.Namespace) -> None:
             exc.args = (f"simulate failed ({detail}): {exc}",)
             raise
         out_dir.mkdir(parents=True, exist_ok=True)
-        _write_csv(path, trajectory)
+        if not template:  # all members share one grid; %.17g never prints a %
+            times = trajectory.grid.times.tolist()
+            template = "t,x\n" + "".join(["%.17g,%%.17g\n" % t for t in times])
+        path.write_text(template % tuple(trajectory.values.tolist()), encoding="ascii")
         print(f"wrote {path}")
 
 

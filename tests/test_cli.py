@@ -30,6 +30,12 @@ def read_csv(path):
     return t, x
 
 
+def csv_text(times, values):
+    """The CSV one member should read, formatted row by row."""
+    rows = zip(times.tolist(), values.tolist())
+    return "t,x\n" + "".join("%.17g,%.17g\n" % row for row in rows)
+
+
 def parsed_equilibria(stdout):
     reports = []
     for line in stdout.splitlines():
@@ -64,10 +70,64 @@ def test_simulate_writes_named_files(tmp_path, capsys):
         assert np.all(np.isfinite(x))
         ivp = fracpop.FractionalIVP(0.5, fracpop.LogisticHarvest(0.5, 10.0, 0.2), float(x0), 50.0)
         values = fracpop.solve(ivp, 100, fracpop.SolverMethod.FRAC_ADAMS_PECE).values
-        rows = zip(fracpop.Grid(100, 50.0).times, values)
-        want = "t,x\n" + "".join(f"{time:.17g},{value:.17g}\n" for time, value in rows)
-        assert path.read_text(encoding="ascii") == want
+        assert path.read_text(encoding="ascii") == csv_text(fracpop.Grid(100, 50.0).times, values)
     assert out.count("wrote ") == 2
+
+
+def test_simulate_reuses_one_row_template_byte_for_byte(tmp_path, capsys):
+    # Four members share one grid whose times print in exponent form
+    # (5.0000000000000004e-06); the states go negative, and alpha 0.3 and 1
+    # take the fractional and the alpha = 1 solver paths.
+    code, out, err = run_cli(
+        capsys,
+        "simulate", "--model", "cubic", "--a", "-1", "--b", "0", "--c", "1",
+        "--alpha", "0.3,1", "--x0=-2,0.5", "--t-final", "1e-3", "--n-steps", "200",
+        "--out", str(tmp_path),
+    )
+    assert (code, err) == (0, "")
+    times = fracpop.Grid(200, 1e-3).times
+    assert "%.17g" % times[1] == "5.0000000000000004e-06"
+    model = fracpop.Cubic(-1.0, 0.0, 1.0)
+    for alpha, x0 in (("0.3", "-2"), ("0.3", "0.5"), ("1", "-2"), ("1", "0.5")):
+        path = tmp_path / f"cubic_alpha{alpha}_x0{x0}.csv"
+        ivp = fracpop.FractionalIVP(float(alpha), model, float(x0), 1e-3)
+        values = fracpop.solve(ivp, 200, "adams").values
+        assert path.read_text(encoding="ascii") == csv_text(times, values)
+        assert f"wrote {path}\n" in out
+    assert len(list(tmp_path.iterdir())) == 4
+
+
+def test_simulate_failed_sweep_keeps_the_written_bytes(tmp_path, capsys):
+    # The README Allee sweep writes its two alpha = 0.25 files before the
+    # third member blows up; both must still be the per-row CSV.
+    code, out, err = run_cli(
+        capsys,
+        "simulate", "--model", "allee-harvest", "--r", "0.5", "--K", "10", "--m", "1",
+        "--E", "0.2", "--x0", X0_SET, "--t-final", "25", "--out", str(tmp_path),
+    )
+    assert code == 3
+    assert err.startswith("error: simulate failed (alpha=0.25, x0=8, E=0.2): ")
+    assert out.count("wrote ") == 2
+    model = fracpop.AlleeHarvest(0.5, 10.0, 1.0, 0.2)
+    for x0 in ("0.1", "4"):
+        path = tmp_path / f"allee-harvest_alpha0.25_x0{x0}_E0.2.csv"
+        ivp = fracpop.FractionalIVP(0.25, model, float(x0), 25.0)
+        values = fracpop.solve(ivp, 250, "adams").values
+        assert path.read_text(encoding="ascii") == csv_text(fracpop.Grid(250, 25.0).times, values)
+    assert len(list(tmp_path.iterdir())) == 2
+
+
+def test_simulate_names_negative_zero_as_zero(tmp_path, capsys):
+    code, out, _ = run_cli(
+        capsys,
+        "simulate", "--model", "logistic-harvest", "--r", "0.5", "--K", "10",
+        "--E", "-0", "--alpha", "0.5", "--x0", "-0", "--t-final", "1",
+        "--out", str(tmp_path),
+    )
+    assert code == 0
+    path = tmp_path / "logistic-harvest_alpha0.5_x00_E0.csv"
+    assert out == f"wrote {path}\n"
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
 def test_simulate_zero_dynamics_constant_column(tmp_path, capsys):
@@ -244,6 +304,10 @@ def test_simulate_validates_whole_sweep_before_writing(tmp_path, capsys):
         (("--model", "logistic", "--r", "0.5", "--K", "10", "--alpha", "1",
           "--x0", "4,4", "--t-final", "1"),
          "two sweep members would both write logistic_alpha1_x04.csv"),
+        # -0 and 0 name the same file.
+        (("--model", "logistic-harvest", "--r", "0.5", "--K", "10", "--E", "-0",
+          "--alpha", "0.5", "--x0", "0,-0", "--t-final", "1"),
+         "two sweep members would both write logistic-harvest_alpha0.5_x00_E0.csv"),
     ]
     for index, (flags, message) in enumerate(sweeps):
         out_dir = tmp_path / str(index)
