@@ -10,20 +10,22 @@ cubic, selected by ``SolverMethod``:
 
 For alpha < 1 both schemes keep the full convolution history, summed as in
 Hairer, Lubich & Schlichte (1985): the time loop runs in leaves of 1,024
-steps, and each step sums its own leaf's nodes directly.  When a leaf ends,
-the block of nodes before it whose size is the largest power-of-two multiple
-of 1,024 dividing the leaf's start adds its part to the next steps' far sums
-by ``numpy.fft``, in sub-squares of at most 8,192 x 8,192 nodes.  The leaves
-cost at most 1,024 multiply-adds per step and kernel; the transforms grow
-like n log n up to the cap and like n**2 / 8,192 past it.  A solve of at
-most 1,024 steps is one leaf: pure direct sums.  At n = 1e5 a step costs
-about 1.4 microseconds (Euler) or 2.5 (PECE), far sums included, on one
-BLAS thread of a 2-core x86-64 host.  The loop holds ``u``, ``frev``,
-``db`` and, for PECE, ``c2``, each of n + 1 floats, and lists of at most
-1,024 views, 0.12 MB each: the weight prefixes, built once, and a leaf's
-history windows.  The set-up holds at most one array more.  At n = 1e6 a
-PECE solve peaks at 40.1 MB in its set-up (33.1 MB in the loop) and an
-Euler solve at 25.0 MB in its loop.
+steps, and each step sums its own leaf's nodes directly from one leaf
+buffer, which holds them newest first.  When a leaf ends, its nodes are
+copied out, and the block of nodes before it whose size is the largest
+power-of-two multiple of 1,024 dividing the leaf's start adds its part to
+the next steps' far sums by ``numpy.fft``, in sub-squares of at most 8,192
+x 8,192 nodes.  The leaves cost at most 1,024 multiply-adds per step and
+kernel; the transforms grow like n log n up to the cap and like
+n**2 / 8,192 past it.  A solve of at most 1,024 steps is one leaf: pure
+direct sums.  At n = 1e5 a step costs about 1.3 microseconds (Euler) or 2.3
+(PECE), far sums included, on one BLAS thread of a 2-core x86-64 host.
+The loop holds ``u``, ``fs``, ``db`` and, for PECE, ``c2``, each of n + 1
+floats, the leaf buffer of 1,025 and lists of at most 1,024 views, 0.12 MB
+each, all built once per solve: the weight prefixes and the buffer's
+windows.  The set-up holds at most one array more.  The loop peaks at 3.3
+MB (Euler) and 4.6 MB (PECE) at n = 1e5 and at 24.9 and 33.4 MB at n = 1e6,
+where a PECE solve peaks at 40.1 MB in its set-up (``tracemalloc``).
 
 At alpha = 1 every weight is constant (db = 1, and for PECE a0 = 1 and
 c2 = 2), so the schemes are forward Euler and the one-step trapezoidal
@@ -187,7 +189,7 @@ def solve(ivp: FractionalIVP, n_steps: int, method: SolverMethod | str) -> Traje
         ka1 = np.arange(n + 2.0) ** (alpha + 1.0)
         # a0[m] = m**(alpha+1) - (m - alpha)*(m+1)**alpha: step m's weight of f0.
         a0 = ka1[:n] - (np.arange(n) - alpha) * ka[1 : n + 1]
-    # ka goes before c2's two temporaries and ka1 before u and frev, so the
+    # ka goes before c2's two temporaries and ka1 before u and fs, so the
     # set-up holds at most five arrays of n floats (three for Euler).
     del ka
     if corrected:
@@ -197,55 +199,57 @@ def solve(ivp: FractionalIVP, n_steps: int, method: SolverMethod | str) -> Traje
         pref_c = h**alpha / math.gamma(alpha + 2.0)
         del ka1
 
-    # Until step m writes them, u[m + 1] holds step m's predictor far sum and
-    # frev[n - 1 - m] its corrector far sum: the part of the history sum over
+    # Until step m's leaf ends, u[m + 1] and fs[m + 1] hold step m's
+    # predictor and corrector far sums: the part of the history sum over
     # nodes before m's leaf, added block by block as leaves finish.  They
     # start at -0.0, and -0.0 + x is x for every x, so the first leaf adds
     # nothing to the direct sums.
     u = np.full(n + 1, -0.0)
     u[0] = x0
-    # frev[n - j] holds f(u_j) so history dot products read forward slices.
-    frev = np.empty(n + 1)
-    frev[n] = f0
-    far_c = frev[n - 1 :: -1]
+    # fs[j] takes f(u_j) when u_j's leaf ends, for the far sums.
+    fs = np.empty(n + 1)
+    far_c = fs[1:]
     kernels = [(db, u[1:], False)]
     if corrected:
         # The corrector's far sums start from the f0 term, which a0 weights.
         np.multiply(a0, f0, out=far_c)
         del a0
         kernels.append((c2, far_c, True))
-    # ndarray.dot is np.dot's C routine without the __array_function__
-    # dispatch.  Step i of a leaf weights its i + 1 nodes by lags 0..i, so
-    # one list of weight views serves every leaf.
+    # leaf[L - k] holds f(u_{lo + k}) for the running leaf's nodes lo..lo + L,
+    # so step i of every leaf dots the window leaf[L - i :], newest first,
+    # with the weights of lags 0..i: both are views built once per solve, and
+    # ndarray.dot is np.dot's C routine without the __array_function__ dispatch.
+    L = min(n, _LEAF)
+    leaf = np.full(L + 1, f0)  # leaf[L] = f(u_0); the steps fill the other slots
     dot, rhs, limit = np.ndarray.dot, rhs_eval, BLOWUP_LIMIT
-    w_p = [db[: i + 1] for i in range(min(n, _LEAF))]
-    w_c = [c2[: i + 1] for i in range(min(n, _LEAF))] if corrected else w_p
+    w_p = [db[: i + 1] for i in range(L)]
+    x_p = [leaf[L - i :] for i in range(L)]
+    w_c = [c2[: i + 1] for i in range(L)] if corrected else w_p
+    # The first leaf's corrector leaves node 0 out: i nodes, lags 0..i-1.
+    first_c = ([c2[:0], *w_c], [leaf[L - i : L] for i in range(L)]) if corrected else (w_p, x_p)
+    slots = range(L - 1, -1, -1)  # step i writes f(u_{lo + i + 1}) to leaf[L - 1 - i]
     for lo in range(0, n, _LEAF):
         if lo:
-            _add_far(frev[::-1], kernels, lo, lo & -lo)
+            _add_far(fs, kernels, lo, lo & -lo)
         hi = min(lo + _LEAF, n)
-        # Node j enters step m of this leaf directly when lo <= j: with
-        # back = n - m the dots read frev[back : n - lo + 1].
-        backs = range(n - lo, n - hi, -1)
-        x_p = [frev[back : n - lo + 1] for back in backs]
-        x_c, v_c = x_p, w_c
-        if corrected and not lo:
-            # The first leaf's corrector leaves node 0 out: i nodes, lags 0..i-1.
-            x_c, v_c = [frev[back:n] for back in backs], [c2[:0], *w_c]
         near_p = u[lo + 1 : hi + 1].tolist()
         near_c = far_c[lo:hi].tolist() if corrected else near_p
+        v_c, x_c = (w_c, x_p) if lo else first_c
         values = []
         keep = values.append
-        for back, hist_p, hist_c, wp, xp, wc, xc in zip(backs, near_p, near_c, w_p, x_p, v_c, x_c):
+        for slot, hist_p, hist_c, wp, xp, wc, xc in zip(slots, near_p, near_c, w_p, x_p, v_c, x_c):
             value = x0 + pref_p * (hist_p + float(dot(wp, xp)))
             if corrected:
                 f_pred = rhs(coeffs, value)
                 value = x0 + pref_c * ((hist_c + float(dot(wc, xc))) + f_pred)
             if not abs(value) <= limit:
-                raise BlowUpError(n - back + 1, (n - back + 1) * h, value)
+                raise BlowUpError(lo + L - slot, (lo + L - slot) * h, value)
             keep(value)
-            frev[back - 1] = rhs(coeffs, value)
+            leaf[slot] = rhs(coeffs, value)
         u[lo + 1 : hi + 1] = values
+        # The leaf's nodes go to fs, and node hi starts the next leaf.
+        fs[lo : hi + 1] = leaf[L + lo - hi :][::-1]
+        leaf[L] = fs[hi]
     return Trajectory(grid=grid, values=u)
 
 

@@ -32,7 +32,8 @@ def mittag_leffler(alpha: float, z: float) -> float:
     alpha = 0.25, -2.1 at 0.3, -3.9 at 0.5, -7.7 at 0.75, -11.6 at 0.9 and
     -15.2 at 1 (``mittag_leffler(0.5, -3.8)`` returns,
     ``mittag_leffler(0.5, -4.0)`` raises).  On the positive axis the 200-term
-    cap does, from about z = 1.9 at alpha = 0.25, 6.3 at 0.5 and 24.5 at 0.75.
+    cap does: z = 1.87 at alpha = 0.25, 6.25 at 0.5 and 24.47 at 0.75 return,
+    1.88, 6.26 and 24.48 raise.
     """
     alpha = _check("alpha", alpha)
     z = float(z)

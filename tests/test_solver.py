@@ -319,15 +319,16 @@ def test_one_leaf_is_the_direct_sum(n, method, alpha):
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0])
-@pytest.mark.parametrize("n", [1, 1024, 1025, 3000, 16385])
+@pytest.mark.parametrize("n", [1, 1024, 1025, 2048, 2049, 3000, 16385])
 @pytest.mark.parametrize("method", list(SolverMethod))
 @pytest.mark.parametrize(
     "model, x0, t_final", [(QUICKSTART, 4.0, 500.0), (LINEAR_DECAY, 1.0, 30.0)], ids=["quickstart", "decay"]
 )
 def test_far_sums_match_the_direct_sum(model, x0, t_final, method, n, alpha):
     # Past one leaf, FFT blocks carry the earlier nodes; n = 16385 needs a
-    # block of 16384 sources, which the transform cap splits in four.  At
-    # alpha = 1 the running sum stands in for both, inside a leaf and past it.
+    # block of 16384 sources, which the transform cap splits in four.  The
+    # grid ends on a leaf boundary at n = 2048 and one step past it at 2049.
+    # At alpha = 1 the running sum stands in for both, inside a leaf and past it.
     ivp = FractionalIVP(alpha, model, x0, t_final)
     want = direct_solve(ivp, n, method)
     got = solve(ivp, n, method).values
@@ -345,6 +346,32 @@ def test_blowup_past_the_first_leaf(alpha, x0, t_final, method):
         solve(ivp, 3000, method)
     got, want = got_info.value, want_info.value
     assert want.step_index > 1024
+    assert (got.step_index, got.time) == (want.step_index, want.time)
+    assert got.value == pytest.approx(want.value, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "method, x0, step",
+    [
+        (SolverMethod.FRAC_EULER, 0.4226, 1025),
+        (SolverMethod.FRAC_EULER, 0.35487, 2049),
+        (SolverMethod.FRAC_EULER, 0.33423, 2600),
+        (SolverMethod.FRAC_ADAMS_PECE, 0.4217, 1025),
+        (SolverMethod.FRAC_ADAMS_PECE, 0.35444, 2049),
+        (SolverMethod.FRAC_ADAMS_PECE, 0.3339, 2600),
+    ],
+)
+def test_blowup_in_every_leaf_position(method, x0, step):
+    # A leaf's blow-up step comes from the leaf slot its step writes: the
+    # first step of the second and third leaves, and a step of the short
+    # last leaf (2049..3000) of a 3000-step grid.
+    ivp = FractionalIVP(0.5, Cubic(1.0, 0.0, 0.0), x0, 5.0)
+    with pytest.raises(BlowUpError) as want_info:
+        direct_solve(ivp, 3000, method)
+    with pytest.raises(BlowUpError) as got_info:
+        solve(ivp, 3000, method)
+    got, want = got_info.value, want_info.value
+    assert want.step_index == step
     assert (got.step_index, got.time) == (want.step_index, want.time)
     assert got.value == pytest.approx(want.value, rel=1e-9)
 
@@ -400,7 +427,7 @@ def test_pece_overflow_is_a_blowup():
 
 def test_setup_peak_memory():
     # A solve that blows up at step 1 peaks in its set-up.  The loop needs
-    # u, frev, db and (PECE) c2; building them holds at most one array more.
+    # u, fs, db and (PECE) c2; building them holds at most one array more.
     # At alpha = 1 the running sum needs u alone.
     n = 10**6
     cases = [

@@ -56,6 +56,15 @@ def test_ml_usable_domain_edge():
         mittag_leffler(0.5, -4.0)
 
 
+def test_ml_positive_axis_edge():
+    # On the positive axis the 200-term cap sets the edge: at alpha = 0.5,
+    # 6.2 is inside it and 6.3 is refused.  E_{1/2}(x) = exp(x**2) erfc(-x).
+    want = float(mp.exp(mp.mpf("6.2") ** 2) * mp.erfc(-mp.mpf("6.2")))
+    assert abs(mittag_leffler(0.5, 6.2) - want) <= 1e-10 * want
+    with pytest.raises(ArithmeticError, match="did not converge within 200 terms"):
+        mittag_leffler(0.5, 6.3)
+
+
 def test_ml_positive_axis_is_relative():
     # No term cancels for z > 0, so the value is as accurate as its terms,
     # relative to its size: these passed 4.3e5, where a 1e-10 absolute rule
