@@ -23,9 +23,11 @@ direct sums.  At n = 1e5 a step costs about 1.3 microseconds (Euler) or 2.3
 The loop holds ``u``, ``fs``, ``db`` and, for PECE, ``c2``, each of n + 1
 floats, the leaf buffer of 1,025 and lists of at most 1,024 views, 0.12 MB
 each, all built once per solve: the weight prefixes and the buffer's
-windows.  The set-up holds at most one array more.  The loop peaks at 3.3
-MB (Euler) and 4.6 MB (PECE) at n = 1e5 and at 24.9 and 33.4 MB at n = 1e6,
-where a PECE solve peaks at 40.1 MB in its set-up (``tracemalloc``).
+windows.  ``_weights`` builds db, c2 and a0 once, holding at most one array
+more.  The loop peaks at 3.3 MB (Euler) and 4.6 MB (PECE) at n = 1e5 and at
+24.9 and 33.4 MB at n = 1e6, where a PECE solve peaks at 40.1 MB in its
+set-up (``tracemalloc``).  A solve runs with numpy's overflow and invalid
+warnings off, since any non-finite state is refused as a blow-up.
 
 At alpha = 1 every weight is constant (db = 1, and for PECE a0 = 1 and
 c2 = 2), so the schemes are forward Euler and the one-step trapezoidal
@@ -117,9 +119,22 @@ class Trajectory:
     values: np.ndarray
 
 
-# A far sum that overflows turns inf or nan, and the step reading it raises
-# BlowUpError, as the direct sum would.
-@np.errstate(over="ignore", invalid="ignore")
+def _weights(n: int, alpha: float, corrected: bool) -> tuple:
+    """db, and for PECE c2 and a0, by the formulas in ``solve``'s docstring.
+
+    db[m] and c2[m] weight lag m, and a0[m] weights f0 in step m.
+    """
+    ka = np.arange(n + 2.0)
+    ka **= alpha  # in place: powering a temporary raised peak RSS by 0.7 MB
+    db = np.diff(ka)
+    if not corrected:
+        return db, None, None
+    ka1 = np.arange(n + 2.0) ** (alpha + 1.0)
+    a0 = ka1[:n] - (np.arange(n) - alpha) * ka[1 : n + 1]
+    del ka  # before c2's two temporaries: at most five arrays of n floats
+    return db, ka1[2:] + ka1[:-2] - 2.0 * ka1[1:-1], a0
+
+
 def _add_far(f: np.ndarray, kernels: list, lo: int, b: int) -> None:
     """Add the nodes j in [lo - b, lo) to the far sums of steps [lo, lo + b).
 
@@ -146,6 +161,8 @@ def _add_far(f: np.ndarray, kernels: list, lo: int, b: int) -> None:
                 far[t0:t1] += np.fft.irfft(src * weights, size)[c - 1 : c - 1 + t1 - t0]
 
 
+# An overflow or nan anywhere in a solve ends as a BlowUpError at its step.
+@np.errstate(over="ignore", invalid="ignore")
 def solve(ivp: FractionalIVP, n_steps: int, method: SolverMethod | str) -> Trajectory:
     """Integrate ``ivp`` on ``n_steps`` uniform steps with the chosen scheme.
 
@@ -180,24 +197,8 @@ def solve(ivp: FractionalIVP, n_steps: int, method: SolverMethod | str) -> Traje
     f0 = rhs_eval(coeffs, x0)
     if alpha == 1.0:
         return Trajectory(grid=grid, values=_running_sum(coeffs, x0, f0, h, n, corrected))
-    ka = np.arange(n + 2.0)
-    ka **= alpha  # in place: powering a temporary raised peak RSS by 0.7 MB
-    # db[m] = (m+1)**alpha - m**alpha; the predictor weight for lag m.
-    db = np.diff(ka)
+    db, c2, a0 = _weights(n, alpha, corrected)
     pref_p = h**alpha / math.gamma(alpha + 1.0)
-    if corrected:
-        ka1 = np.arange(n + 2.0) ** (alpha + 1.0)
-        # a0[m] = m**(alpha+1) - (m - alpha)*(m+1)**alpha: step m's weight of f0.
-        a0 = ka1[:n] - (np.arange(n) - alpha) * ka[1 : n + 1]
-    # ka goes before c2's two temporaries and ka1 before u and fs, so the
-    # set-up holds at most five arrays of n floats (three for Euler).
-    del ka
-    if corrected:
-        # c2[m] = (m+2)**(alpha+1) + m**(alpha+1) - 2*(m+1)**(alpha+1):
-        # corrector weight for lag m = n - j of an interior node.
-        c2 = ka1[2:] + ka1[:-2] - 2.0 * ka1[1:-1]
-        pref_c = h**alpha / math.gamma(alpha + 2.0)
-        del ka1
 
     # Until step m's leaf ends, u[m + 1] and fs[m + 1] hold step m's
     # predictor and corrector far sums: the part of the history sum over
@@ -215,6 +216,7 @@ def solve(ivp: FractionalIVP, n_steps: int, method: SolverMethod | str) -> Traje
         np.multiply(a0, f0, out=far_c)
         del a0
         kernels.append((c2, far_c, True))
+        pref_c = h**alpha / math.gamma(alpha + 2.0)
     # leaf[L - k] holds f(u_{lo + k}) for the running leaf's nodes lo..lo + L,
     # so step i of every leaf dots the window leaf[L - i :], newest first,
     # with the weights of lags 0..i: both are views built once per solve, and

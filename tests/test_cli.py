@@ -718,6 +718,19 @@ def test_pece_overflow_exits_3_under_warnings_as_errors():
     assert result.stderr == (
         "error: state blew up at step 1 (t = 0.03125): |x| = inf exceeds 1e+12\n"
     )
+    # The fractional Euler leaf dot overflows at step 4; numpy's overflow
+    # warning is off inside a solve, so this too ends on the blow-up.
+    result = run_module(
+        "convergence", "--model", "cubic", "--a", "0", "--b", "0", "--c", "1e308",
+        "--alpha", "0.999999", "--x0", "0.5", "--t-final", "1e-320",
+        "--base-steps", "1", "--refinements", "2", "--method", "euler",
+        python_flags=("-W", "error"),
+    )
+    assert result.returncode == 3
+    assert result.stdout == ""
+    assert result.stderr == (
+        "error: state blew up at step 4 (t = 9.99989e-321): |x| = inf exceeds 1e+12\n"
+    )
 
 
 def readme_block(heading, language):

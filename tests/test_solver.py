@@ -233,8 +233,9 @@ def test_solve_blowup_matches_transcribed_scheme(alpha, method):
 def direct_solve(ivp, n_steps, method):
     """``solve`` without far sums: each step dots its whole history.
 
-    The weights, step arithmetic and blow-up check of ``solve`` in a single
-    leaf that spans the grid, so its values are the direct sums'.
+    ``solve``'s weights (``solver._weights``), step arithmetic and blow-up
+    check in a single leaf that spans the grid, so its values are the direct
+    sums'.
     """
     corrected = method is SolverMethod.FRAC_ADAMS_PECE
     grid = Grid(n_steps, ivp.t_final)
@@ -243,15 +244,9 @@ def direct_solve(ivp, n_steps, method):
     h = grid.h
     n = grid.n_steps
 
-    k = np.arange(n + 2, dtype=float)
-    ka = k**alpha
-    db = np.diff(ka)
+    db, c2, a0 = solver._weights(n, alpha, corrected)
     pref_p = h**alpha / math.gamma(alpha + 1.0)
-    if corrected:
-        ka1 = k ** (alpha + 1.0)
-        c2 = ka1[2:] + ka1[:-2] - 2.0 * ka1[1:-1]
-        a0 = ka1[:n] - (k[:n] - alpha) * ka[1 : n + 1]
-        pref_c = h**alpha / math.gamma(alpha + 2.0)
+    pref_c = h**alpha / math.gamma(alpha + 2.0)
 
     x0 = ivp.x0
     u = np.empty(n + 1)
@@ -284,13 +279,9 @@ def history_scale(ivp, method, values):
     alpha = ivp.alpha
     h = ivp.t_final / n
     f = np.abs(rhs_eval(coeffs, values))
-    k = np.arange(n + 2, dtype=float)
-    db = np.diff(k**alpha)
+    db, c2, a0 = solver._weights(n, alpha, method is SolverMethod.FRAC_ADAMS_PECE)
     scale = abs(ivp.x0) + h**alpha / math.gamma(alpha + 1.0) * np.convolve(f[:n], db[:n])[:n]
-    if method is SolverMethod.FRAC_ADAMS_PECE:
-        ka1 = k ** (alpha + 1.0)
-        c2 = ka1[2:] + ka1[:-2] - 2.0 * ka1[1:-1]
-        a0 = ka1[:n] - (k[:n] - alpha) * k[1 : n + 1] ** alpha
+    if c2 is not None:
         interior = np.convolve(np.concatenate(([0.0], f[1:n])), c2[:n])[:n]
         scale += h**alpha / math.gamma(alpha + 2.0) * (np.abs(a0) * f[0] + interior + f[1:])
     return scale
@@ -423,6 +414,70 @@ def test_pece_overflow_is_a_blowup():
             solve(ivp, 32, SolverMethod.FRAC_ADAMS_PECE)
         assert excinfo.value.step_index == 1
         assert excinfo.value.value == -math.inf
+
+
+@pytest.mark.parametrize(
+    "ivp, n, method, step",
+    [
+        # f0 is inf and an entry of a0 is 0: inf * 0 in the corrector's start.
+        (FractionalIVP(1e-8, Cubic(1e300, 0.0, 0.0), 1e10, 1.0), 3000, "adams", 1),
+        # f(u_3) is near 1e308, and the leaf dot of step 4 overflows.
+        (FractionalIVP(0.999999, Cubic(0.0, 0.0, 1e308), 0.5, 1e-320), 4, "euler", 4),
+    ],
+)
+def test_non_finite_numpy_terms_are_a_blowup(ivp, n, method, step):
+    # NumPy warns on these terms, and this suite turns its warnings into
+    # errors; a solve ends them as a BlowUpError at their step instead.
+    with pytest.raises(BlowUpError) as excinfo:
+        solve(ivp, n, method)
+    assert excinfo.value.step_index == step
+    assert excinfo.value.value == math.inf
+
+
+WEIGHT_LAGS = [10, 100, 1000, 1023, 10**4, 10**5, 999_998]
+
+
+def weight_errors(alpha):
+    """Relative errors of ``_weights(10**6, alpha, True)`` by lag, per weight.
+
+    Graded against the formulas of the ``solve`` docstring in 50-digit mpmath.
+    """
+    got = dict(zip(("db", "c2", "a0"), solver._weights(10**6, alpha, True)))
+    errors = {name: {} for name in got}
+    with mp.workdps(50):
+        a = mp.mpf(alpha)
+        for m in WEIGHT_LAGS:
+            k = mp.mpf(m)
+            want = {
+                "db": (k + 1) ** a - k**a,
+                "c2": (k + 2) ** (a + 1) + k ** (a + 1) - 2 * (k + 1) ** (a + 1),
+                "a0": k ** (a + 1) - (k - a) * (k + 1) ** a,
+            }
+            for name, weights in got.items():
+                errors[name][m] = float(abs(mp.mpf(weights.item(m)) / want[name] - 1))
+    return errors
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9])
+def test_weights_match_mpmath(alpha):
+    # Measured worst: db 1.5e-10 (alpha 0.5, lag 999,998); c2 and a0 2.0e-9
+    # up to lag 1,023, past which their cancellation grows (the xfail below).
+    errors = weight_errors(alpha)
+    assert max(errors["db"].values()) <= 1e-9
+    for name in ("c2", "a0"):
+        assert all(err <= 1e-8 for m, err in errors[name].items() if m < 1024)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="c2 and a0 are differences of nearly equal powers: 1.2e-9 to 4.0e-3 "
+    "relative at lags 1e4 to 1e6 (ROADMAP item 15)",
+)
+def test_long_lag_pece_weights_to_1e_14():
+    for alpha in (0.3, 0.5, 0.9):
+        errors = weight_errors(alpha)
+        for name in ("c2", "a0"):
+            assert all(err <= 1e-14 for m, err in errors[name].items() if m >= 1024)
 
 
 def test_setup_peak_memory():
