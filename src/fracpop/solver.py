@@ -15,18 +15,19 @@ buffer, which holds them newest first.  When a leaf ends, its nodes are
 copied out, and the block of nodes before it whose size is the largest
 power-of-two multiple of 1,024 dividing the leaf's start adds its part to
 the next steps' far sums by ``numpy.fft``, in sub-squares of at most 8,192
-x 8,192 nodes.  The leaves cost at most 1,024 multiply-adds per step and
-kernel; the transforms grow like n log n up to the cap and like
-n**2 / 8,192 past it.  A solve of at most 1,024 steps is one leaf: pure
-direct sums.  At n = 1e5 a step costs about 1.3 microseconds (Euler) or 2.3
-(PECE), far sums included, on one BLAS thread of a 2-core x86-64 host.
-The loop holds ``u``, ``fs``, ``db`` and, for PECE, ``c2``, each of n + 1
-floats, the leaf buffer of 1,025 and lists of at most 1,024 views, 0.12 MB
-each, all built once per solve: the weight prefixes and the buffer's
-windows.  ``_weights`` builds db, c2 and a0 once, holding at most one array
-more.  The loop peaks at 3.3 MB (Euler) and 4.6 MB (PECE) at n = 1e5 and at
-24.9 and 33.4 MB at n = 1e6, where a PECE solve peaks at 40.1 MB in its
-set-up (``tracemalloc``).  A solve runs with numpy's overflow and invalid
+x 8,192 nodes, taken lag by lag: one kernel transform per lag, and the
+same sums, in the same order, as source chunk by source chunk.  The leaves
+cost at most 1,024 multiply-adds per step and kernel; the transforms grow
+like n log n up to the cap and like n**2 / 8,192 past it.  A solve of at
+most 1,024 steps is one leaf: pure direct sums.  At n = 1e5 a step costs
+about 1.3 microseconds (Euler) or 2.4 (PECE), far sums included, on one BLAS
+thread of a 2-core x86-64 host.  The loop holds ``u``, ``fs``, ``db`` and,
+for PECE, ``c2``, each of n + 1 floats, the leaf buffer of 1,025 and lists
+of at most 1,024 views built once per solve, 0.12 MB each; the far sums add
+at most n floats of transforms and 0.25 MB a kernel.  ``_weights`` holds at
+most one array more.  The loop peaks at 4.0 MB (Euler) and 5.5 MB (PECE) at
+n = 1e5 and at 32.7 and 41.4 MB at n = 1e6, above a PECE set-up's 40.1 MB
+(``tracemalloc``).  A solve runs with numpy's overflow and invalid
 warnings off, since any non-finite state is refused as a blow-up.
 
 At alpha = 1 every weight is constant (db = 1, and for PECE a0 = 1 and
@@ -138,27 +139,39 @@ def _weights(n: int, alpha: float, corrected: bool) -> tuple:
 def _add_far(f: np.ndarray, kernels: list, lo: int, b: int) -> None:
     """Add the nodes j in [lo - b, lo) to the far sums of steps [lo, lo + b).
 
-    ``f[j]`` is f(u_j).  Each ``(kernel, far, skip_f0)`` adds
+    ``f[j]`` is f(u_j).  Each ``(kernel, far, skip_f0, cache)`` adds
     ``sum_j kernel[m - j] * f[j]`` to ``far[m]``, leaving out node 0 when
     ``skip_f0`` is set.  The square is cut into sub-squares of at most
     ``_CHUNK`` sources by ``_CHUNK`` targets; each is one linear convolution
-    by ``rfft`` of twice that size, and a source chunk's transform serves
-    every kernel.
+    by ``rfft`` of twice that size.  They run lag by lag, largest first: a
+    kernel slice depends on the lag alone, so ``cache`` holds its transform
+    while the lag runs (and keeps it for lags up to ``_CHUNK``, which recur in
+    every block), and each target chunk still adds its sources in ascending
+    order, the sums and bits of a loop over source chunks.  A source chunk's
+    transform is kept from its largest lag to its smallest, ``lo - s0``.
     """
     c = min(b, _CHUNK)
     size = 2 * c
     stop = min(lo + b, f.size - 1)  # f holds nodes 0..n; steps run to n - 1
-    for s0 in range(lo - b, lo, c):
-        spec = np.fft.rfft(f[s0 : s0 + c], size)
-        for t0 in range(lo, stop, c):
-            t1 = min(t0 + c, stop)
-            lag = t0 - s0
-            for kernel, far, skip_f0 in kernels:
-                # Entry c - 1 + q of the convolution of the chunk with
+    last = stop - 1 - (stop - 1 - lo) % c  # the last target chunk's start
+    specs = {}
+    for lag in range(last - lo + b, c - 1, -c):
+        for kernel, _, _, cache in kernels:
+            if lag not in cache:
+                # Entry c - 1 + q of the convolution of a source chunk with
                 # kernel[lag - c + 1 : lag + c] is target t0 + q's sum.
-                weights = np.fft.rfft(kernel[lag - c + 1 : lag + c], size)
+                cache[lag] = np.fft.rfft(kernel[lag - c + 1 : lag + c], size)
+        for t0 in range(max(lo, lo - b + lag), min(stop, lo + lag), c):
+            s0, t1 = t0 - lag, min(t0 + c, stop)
+            if t0 == last:
+                specs[s0] = np.fft.rfft(f[s0 : s0 + c], size)
+            spec = specs.pop(s0) if t0 == lo else specs[s0]
+            for _, far, skip_f0, cache in kernels:
                 src = spec - f[0] if skip_f0 and s0 == 0 else spec
-                far[t0:t1] += np.fft.irfft(src * weights, size)[c - 1 : c - 1 + t1 - t0]
+                far[t0:t1] += np.fft.irfft(src * cache[lag], size)[c - 1 : c - 1 + t1 - t0]
+        if lag > _CHUNK:
+            for *_, cache in kernels:
+                del cache[lag]
 
 
 # An overflow or nan anywhere in a solve ends as a BlowUpError at its step.
@@ -210,12 +223,12 @@ def solve(ivp: FractionalIVP, n_steps: int, method: SolverMethod | str) -> Traje
     # fs[j] takes f(u_j) when u_j's leaf ends, for the far sums.
     fs = np.empty(n + 1)
     far_c = fs[1:]
-    kernels = [(db, u[1:], False)]
+    kernels = [(db, u[1:], False, {})]
     if corrected:
         # The corrector's far sums start from the f0 term, which a0 weights.
         np.multiply(a0, f0, out=far_c)
         del a0
-        kernels.append((c2, far_c, True))
+        kernels.append((c2, far_c, True, {}))
         pref_c = h**alpha / math.gamma(alpha + 2.0)
     # leaf[L - k] holds f(u_{lo + k}) for the running leaf's nodes lo..lo + L,
     # so step i of every leaf dots the window leaf[L - i :], newest first,

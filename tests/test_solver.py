@@ -327,6 +327,65 @@ def test_far_sums_match_the_direct_sum(model, x0, t_final, method, n, alpha):
     assert np.all(np.abs(got[1:] - want[1:]) <= 1e-12 * history_scale(ivp, method, want))
 
 
+def source_major_far(f, kernels, lo, b):
+    """``_add_far``'s sub-squares source chunk by source chunk, each kernel
+    transformed anew for every sub-square: the order before the lag-major one."""
+    c = min(b, solver._CHUNK)
+    size = 2 * c
+    stop = min(lo + b, f.size - 1)
+    for s0 in range(lo - b, lo, c):
+        spec = np.fft.rfft(f[s0 : s0 + c], size)
+        for t0 in range(lo, stop, c):
+            t1 = min(t0 + c, stop)
+            lag = t0 - s0
+            for kernel, far, skip_f0 in kernels:
+                weights = np.fft.rfft(kernel[lag - c + 1 : lag + c], size)
+                src = spec - f[0] if skip_f0 and s0 == 0 else spec
+                far[t0:t1] += np.fft.irfft(src * weights, size)[c - 1 : c - 1 + t1 - t0]
+
+
+@pytest.mark.parametrize("n", [2049, 16385, 40000, 100000, 2**17 + 1])
+def test_lag_major_far_sums_are_source_major_bit_for_bit(n):
+    # Blocks as solve forms them, with one kernels list (and its caches) for
+    # all of them.  From lo = 16,384 a block has several source and several
+    # target chunks, so a lag serves several sub-squares; n = 100,000 cuts
+    # the block at 65,536 short.
+    rng = np.random.default_rng(n)
+    f = rng.standard_normal(n + 1)
+    db, c2, _ = solver._weights(n, 0.5, True)
+    got = [(db, np.full(n, -0.0), False, {}), (c2, np.full(n, -0.0), True, {})]
+    want = [(db, np.full(n, -0.0), False), (c2, np.full(n, -0.0), True)]
+    for lo in range(solver._LEAF, n, solver._LEAF):
+        solver._add_far(f, got, lo, lo & -lo)
+        source_major_far(f, want, lo, lo & -lo)
+        for (_, far, _, cache), (_, ref, _) in zip(got, want):
+            assert far.tobytes() == ref.tobytes(), lo
+            assert set(cache) <= {1024, 2048, 4096, 8192}
+
+
+def test_far_sums_peak_memory():
+    # The far sums of a PECE solve's blocks, driven as solve drives them
+    # (a whole solve under tracemalloc takes about 45 us a step).  Past the
+    # block at lo = 65,536 (8 x 8 sub-squares, 15 lags) they hold one source
+    # transform per target chunk, about one array of n floats, each kernel's
+    # transforms of lags up to 8,192 (0.48 arrays for both) and one
+    # sub-square's temporaries.  Measured: 1.98 arrays of 8n bytes beyond
+    # the solve's own; caching every lag's transform took 5.23.  The bound
+    # leaves 26%.
+    n = 2**17 + 1
+    f = np.random.default_rng(0).standard_normal(n + 1)
+    db, c2, _ = solver._weights(n, 0.5, True)
+    kernels = [(db, np.full(n, -0.0), False, {}), (c2, np.full(n, -0.0), True, {})]
+    tracemalloc.start()  # after the solve's own arrays, which it does not count
+    try:
+        for lo in range(solver._LEAF, n, solver._LEAF):
+            solver._add_far(f, kernels, lo, lo & -lo)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 8 * n
+
+
 @pytest.mark.parametrize("alpha, x0, t_final", [(0.5, 0.4, 5.0), (1.0, 1.0, 1.0)])
 @pytest.mark.parametrize("method", list(SolverMethod))
 def test_blowup_past_the_first_leaf(alpha, x0, t_final, method):
