@@ -34,7 +34,8 @@ At alpha = 1 every weight is constant (db = 1, and for PECE a0 = 1 and
 c2 = 2), so the schemes are forward Euler and the one-step trapezoidal
 predictor-corrector written in integral form.  Both then read one
 compensated running sum of the history: O(1) work per step and one array,
-``u``, of n + 1 floats.
+``u``, of n + 1 floats.  Bits repeat on one host and BLAS build; at alpha < 1
+OpenBLAS picks ``ddot``'s kernel by CPU; hosts agree within 1e-13 of scale.
 """
 
 import math
@@ -120,7 +121,7 @@ class Trajectory:
     values: np.ndarray
 
 
-def _weights(n: int, alpha: float, corrected: bool) -> tuple:
+def _weights(n: int, alpha: float, method: SolverMethod) -> tuple:
     """db, and for PECE c2 and a0, by the formulas in ``solve``'s docstring.
 
     db[m] and c2[m] weight lag m, and a0[m] weights f0 in step m.
@@ -128,12 +129,12 @@ def _weights(n: int, alpha: float, corrected: bool) -> tuple:
     ka = np.arange(n + 2.0)
     ka **= alpha  # in place: powering a temporary raised peak RSS by 0.7 MB
     db = np.diff(ka)
-    if not corrected:
-        return db, None, None
-    ka1 = np.arange(n + 2.0) ** (alpha + 1.0)
-    a0 = ka1[:n] - (np.arange(n) - alpha) * ka[1 : n + 1]
-    del ka  # before c2's two temporaries: at most five arrays of n floats
-    return db, ka1[2:] + ka1[:-2] - 2.0 * ka1[1:-1], a0
+    if method is SolverMethod.FRAC_ADAMS_PECE:
+        ka1 = np.arange(n + 2.0) ** (alpha + 1.0)
+        a0 = ka1[:n] - (np.arange(n) - alpha) * ka[1 : n + 1]
+        del ka  # before c2's two temporaries: at most five arrays of n floats
+        return db, ka1[2:] + ka1[:-2] - 2.0 * ka1[1:-1], a0
+    return db, None, None
 
 
 def _add_far(f: np.ndarray, kernels: list, lo: int, b: int) -> None:
@@ -199,7 +200,7 @@ def solve(ivp: FractionalIVP, n_steps: int, method: SolverMethod | str) -> Traje
     constant, and the history is one compensated running sum: O(1) work per
     step and no array but the n + 1 values.
     """
-    corrected = SolverMethod(method) is SolverMethod.FRAC_ADAMS_PECE
+    method = SolverMethod(method)
     grid = Grid(n_steps, ivp.t_final)
     coeffs = to_cubic(ivp.model)
     alpha = ivp.alpha
@@ -209,8 +210,9 @@ def solve(ivp: FractionalIVP, n_steps: int, method: SolverMethod | str) -> Traje
     x0 = ivp.x0
     f0 = rhs_eval(coeffs, x0)
     if alpha == 1.0:
-        return Trajectory(grid=grid, values=_running_sum(coeffs, x0, f0, h, n, corrected))
-    db, c2, a0 = _weights(n, alpha, corrected)
+        return Trajectory(grid=grid, values=_running_sum(coeffs, x0, f0, h, n, method))
+    db, c2, a0 = _weights(n, alpha, method)
+    pece = method is SolverMethod.FRAC_ADAMS_PECE
     pref_p = h**alpha / math.gamma(alpha + 1.0)
 
     # Until step m's leaf ends, u[m + 1] and fs[m + 1] hold step m's
@@ -224,7 +226,7 @@ def solve(ivp: FractionalIVP, n_steps: int, method: SolverMethod | str) -> Traje
     fs = np.empty(n + 1)
     far_c = fs[1:]
     kernels = [(db, u[1:], False, {})]
-    if corrected:
+    if pece:
         # The corrector's far sums start from the f0 term, which a0 weights.
         np.multiply(a0, f0, out=far_c)
         del a0
@@ -239,22 +241,22 @@ def solve(ivp: FractionalIVP, n_steps: int, method: SolverMethod | str) -> Traje
     dot, rhs, limit = np.ndarray.dot, rhs_eval, BLOWUP_LIMIT
     w_p = [db[: i + 1] for i in range(L)]
     x_p = [leaf[L - i :] for i in range(L)]
-    w_c = [c2[: i + 1] for i in range(L)] if corrected else w_p
+    w_c = [c2[: i + 1] for i in range(L)] if pece else w_p
     # The first leaf's corrector leaves node 0 out: i nodes, lags 0..i-1.
-    first_c = ([c2[:0], *w_c], [leaf[L - i : L] for i in range(L)]) if corrected else (w_p, x_p)
+    first_c = ([c2[:0], *w_c], [leaf[L - i : L] for i in range(L)]) if pece else (w_p, x_p)
     slots = range(L - 1, -1, -1)  # step i writes f(u_{lo + i + 1}) to leaf[L - 1 - i]
     for lo in range(0, n, _LEAF):
         if lo:
             _add_far(fs, kernels, lo, lo & -lo)
         hi = min(lo + _LEAF, n)
         near_p = u[lo + 1 : hi + 1].tolist()
-        near_c = far_c[lo:hi].tolist() if corrected else near_p
+        near_c = far_c[lo:hi].tolist() if pece else near_p
         v_c, x_c = (w_c, x_p) if lo else first_c
         values = []
         keep = values.append
         for slot, hist_p, hist_c, wp, xp, wc, xc in zip(slots, near_p, near_c, w_p, x_p, v_c, x_c):
             value = x0 + pref_p * (hist_p + float(dot(wp, xp)))
-            if corrected:
+            if pece:
                 f_pred = rhs(coeffs, value)
                 value = x0 + pref_c * ((hist_c + float(dot(wc, xc))) + f_pred)
             if not abs(value) <= limit:
@@ -269,7 +271,7 @@ def solve(ivp: FractionalIVP, n_steps: int, method: SolverMethod | str) -> Traje
 
 
 def _running_sum(
-    coeffs: Cubic, x0: float, f0: float, h: float, n: int, corrected: bool
+    coeffs: Cubic, x0: float, f0: float, h: float, n: int, method: SolverMethod
 ) -> np.ndarray:
     """``solve``'s schemes at alpha = 1, where db = 1, a0 = 1 and c2 = 2.
 
@@ -281,6 +283,7 @@ def _running_sum(
     """
     u = np.empty(n + 1)  # before any step, so an unallocatable grid fails at once
     u[0] = x0
+    pece = method is SolverMethod.FRAC_ADAMS_PECE
     half_h = h / 2.0
     total, comp = 0.0, 0.0
     for lo in range(0, n, _LEAF):
@@ -291,7 +294,7 @@ def _running_sum(
                 # An infinite f makes comp nan; the direct sum is then total.
                 tail = total
             value = x0 + h * (f0 + tail)
-            if corrected:
+            if pece:
                 value = x0 + half_h * ((f0 + 2.0 * tail) + rhs_eval(coeffs, value))
             if not abs(value) <= BLOWUP_LIMIT:
                 raise BlowUpError(m, m * h, value)

@@ -14,8 +14,6 @@ the terminal-summary hook reprints them after the run so the per-criterion
 results stay visible regardless of output capturing.
 """
 
-from __future__ import annotations
-
 import math
 
 import mpmath as mp

@@ -152,11 +152,13 @@ def test_equilibrium_fixed_points():
             assert np.all(values == root)
 
 
-def test_dispatch_identity():
+@pytest.mark.parametrize("alpha", [0.7, 1.0])
+def test_dispatch_identity(alpha):
     # The method alone selects the scheme: a member, the member looked up by
     # value and the bare value run the same scheme bit for bit, the two
-    # schemes differ, and any other value is refused.
-    ivp = FractionalIVP(0.7, Logistic(0.5, 10.0), 4.0, 10.0)
+    # schemes differ, and any other value is refused.  At alpha = 1 the
+    # member reaches the running sum instead of the weights and the leaves.
+    ivp = FractionalIVP(alpha, Logistic(0.5, 10.0), 4.0, 10.0)
     euler = solve(ivp, 100, SolverMethod.FRAC_EULER).values
     adams = solve(ivp, 100, SolverMethod.FRAC_ADAMS_PECE).values
     assert np.array_equal(solve(ivp, 100, SolverMethod("euler")).values, euler)
@@ -169,7 +171,18 @@ def test_dispatch_identity():
             solve(ivp, 100, bad)
 
 
-def transcribed_scheme(ivp, n, corrected):
+def is_pece(method):
+    """Whether a reference runs ``method`` as PECE (True) or as Euler (False).
+
+    The references below implement these two members only: any other member
+    raises, rather than being checked against the Euler formulas.
+    """
+    if method not in (SolverMethod.FRAC_EULER, SolverMethod.FRAC_ADAMS_PECE):
+        raise NotImplementedError(f"no reference implements {method}")
+    return method is SolverMethod.FRAC_ADAMS_PECE
+
+
+def transcribed_scheme(ivp, n, method):
     """The two documented schemes written out term by term.
 
     Weights come straight from the formulas in the ``solve`` docstring, the
@@ -178,6 +191,7 @@ def transcribed_scheme(ivp, n, corrected):
     arrays.  Only the accepted state is checked: past ``BLOWUP_LIMIT`` or
     non-finite, it raises ``BlowUpError`` as ``solve`` documents.
     """
+    pece = is_pece(method)
     coeffs = to_cubic(ivp.model)
     alpha, x0 = ivp.alpha, ivp.x0
     h = ivp.t_final / n
@@ -190,7 +204,7 @@ def transcribed_scheme(ivp, n, corrected):
         for j in range(m + 1):
             hist_p += ((m + 1 - j) ** alpha - (m - j) ** alpha) * f[j]
         value = x0 + pref_p * hist_p
-        if corrected:
+        if pece:
             hist_c = (m ** (alpha + 1) - (m - alpha) * (m + 1) ** alpha) * f[0]
             for j in range(1, m + 1):
                 weight = (
@@ -212,7 +226,7 @@ def transcribed_scheme(ivp, n, corrected):
 def test_solve_matches_transcribed_scheme(alpha, method):
     ivp = FractionalIVP(alpha, LogisticHarvest(0.5, 10.0, 0.2), 4.0, 20.0)
     got = solve(ivp, 40, method).values
-    want = transcribed_scheme(ivp, 40, method is SolverMethod.FRAC_ADAMS_PECE)
+    want = transcribed_scheme(ivp, 40, method)
     assert np.max(np.abs(got - want) / (1.0 + np.abs(want))) <= 1e-12
 
 
@@ -220,9 +234,8 @@ def test_solve_matches_transcribed_scheme(alpha, method):
 @pytest.mark.parametrize("method", list(SolverMethod))
 def test_solve_blowup_matches_transcribed_scheme(alpha, method):
     ivp = FractionalIVP(alpha, Cubic(1.0, 0.0, 0.0), 1.0, 5.0)
-    corrected = method is SolverMethod.FRAC_ADAMS_PECE
     with pytest.raises(BlowUpError) as want_info:
-        transcribed_scheme(ivp, 500, corrected)
+        transcribed_scheme(ivp, 500, method)
     with pytest.raises(BlowUpError) as got_info:
         solve(ivp, 500, method)
     got, want = got_info.value, want_info.value
@@ -237,14 +250,14 @@ def direct_solve(ivp, n_steps, method):
     check in a single leaf that spans the grid, so its values are the direct
     sums'.
     """
-    corrected = method is SolverMethod.FRAC_ADAMS_PECE
+    pece = is_pece(method)
     grid = Grid(n_steps, ivp.t_final)
     coeffs = to_cubic(ivp.model)
     alpha = ivp.alpha
     h = grid.h
     n = grid.n_steps
 
-    db, c2, a0 = solver._weights(n, alpha, corrected)
+    db, c2, a0 = solver._weights(n, alpha, method)
     pref_p = h**alpha / math.gamma(alpha + 1.0)
     pref_c = h**alpha / math.gamma(alpha + 2.0)
 
@@ -257,7 +270,7 @@ def direct_solve(ivp, n_steps, method):
     for step in range(n):
         hist_p = float(np.dot(db[: step + 1], frev[n - step :]))
         value = x0 + pref_p * hist_p
-        if corrected:
+        if pece:
             f_pred = rhs_eval(coeffs, value)
             hist_c = a0.item(step) * f0 + float(np.dot(c2[:step], frev[n - step : n]))
             value = x0 + pref_c * (hist_c + f_pred)
@@ -279,9 +292,9 @@ def history_scale(ivp, method, values):
     alpha = ivp.alpha
     h = ivp.t_final / n
     f = np.abs(rhs_eval(coeffs, values))
-    db, c2, a0 = solver._weights(n, alpha, method is SolverMethod.FRAC_ADAMS_PECE)
+    db, c2, a0 = solver._weights(n, alpha, method)
     scale = abs(ivp.x0) + h**alpha / math.gamma(alpha + 1.0) * np.convolve(f[:n], db[:n])[:n]
-    if c2 is not None:
+    if is_pece(method):
         interior = np.convolve(np.concatenate(([0.0], f[1:n])), c2[:n])[:n]
         scale += h**alpha / math.gamma(alpha + 2.0) * (np.abs(a0) * f[0] + interior + f[1:])
     return scale
@@ -352,7 +365,7 @@ def test_lag_major_far_sums_are_source_major_bit_for_bit(n):
     # the block at 65,536 short.
     rng = np.random.default_rng(n)
     f = rng.standard_normal(n + 1)
-    db, c2, _ = solver._weights(n, 0.5, True)
+    db, c2, _ = solver._weights(n, 0.5, SolverMethod.FRAC_ADAMS_PECE)
     got = [(db, np.full(n, -0.0), False, {}), (c2, np.full(n, -0.0), True, {})]
     want = [(db, np.full(n, -0.0), False), (c2, np.full(n, -0.0), True)]
     for lo in range(solver._LEAF, n, solver._LEAF):
@@ -374,7 +387,7 @@ def test_far_sums_peak_memory():
     # leaves 26%.
     n = 2**17 + 1
     f = np.random.default_rng(0).standard_normal(n + 1)
-    db, c2, _ = solver._weights(n, 0.5, True)
+    db, c2, _ = solver._weights(n, 0.5, SolverMethod.FRAC_ADAMS_PECE)
     kernels = [(db, np.full(n, -0.0), False, {}), (c2, np.full(n, -0.0), True, {})]
     tracemalloc.start()  # after the solve's own arrays, which it does not count
     try:
@@ -497,11 +510,11 @@ WEIGHT_LAGS = [10, 100, 1000, 1023, 10**4, 10**5, 999_998]
 
 
 def weight_errors(alpha):
-    """Relative errors of ``_weights(10**6, alpha, True)`` by lag, per weight.
+    """Relative errors of PECE's ``_weights`` at n = 10**6 by lag, per weight.
 
     Graded against the formulas of the ``solve`` docstring in 50-digit mpmath.
     """
-    got = dict(zip(("db", "c2", "a0"), solver._weights(10**6, alpha, True)))
+    got = dict(zip(("db", "c2", "a0"), solver._weights(10**6, alpha, SolverMethod.FRAC_ADAMS_PECE)))
     errors = {name: {} for name in got}
     with mp.workdps(50):
         a = mp.mpf(alpha)
