@@ -188,8 +188,8 @@ def cmd_simulate(args: argparse.Namespace) -> None:
             raise
         out_dir.mkdir(parents=True, exist_ok=True)
         if not template:  # all members share one grid; %.17g never prints a %
-            times = trajectory.grid.times.tolist()
-            template = "t,x\n" + "".join(["%.17g,%%.17g\n" % t for t in times])
+            times = tuple(trajectory.grid.times.tolist())
+            template = "t,x\n" + ("%.17g,%%.17g\n" * len(times)) % times
         path.write_text(template % tuple(trajectory.values.tolist()), encoding="ascii")
         print(f"wrote {path}")
 

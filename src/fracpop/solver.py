@@ -20,14 +20,15 @@ same sums, in the same order, as source chunk by source chunk.  The leaves
 cost at most 1,024 multiply-adds per step and kernel; the transforms grow
 like n log n up to the cap and like n**2 / 8,192 past it.  A solve of at
 most 1,024 steps is one leaf: pure direct sums.  At n = 1e5 a step costs
-about 1.3 microseconds (Euler) or 2.4 (PECE), far sums included, on one BLAS
-thread of a 2-core x86-64 host.  The loop holds ``u``, ``fs``, ``db`` and,
-for PECE, ``c2``, each of n + 1 floats, the leaf buffer of 1,025 and lists
-of at most 1,024 views built once per solve, 0.12 MB each; the far sums add
-at most n floats of transforms and 0.25 MB a kernel.  ``_weights`` holds at
-most one array more.  The loop peaks at 4.0 MB (Euler) and 5.5 MB (PECE) at
-n = 1e5 and at 32.7 and 41.4 MB at n = 1e6, above a PECE set-up's 40.1 MB
-(``tracemalloc``).  A solve runs with numpy's overflow and invalid
+about 1.1 microseconds (Euler) or 1.9 (PECE), far sums included, on one BLAS
+thread (OpenBLAS's SkylakeX kernel) of a 2-core Xeon.  The loop holds ``u``,
+``fs``, ``db`` and, for PECE, ``c2``, each of n + 1 floats, the leaf buffer of
+1,025 with a float memoryview for its stores, a 0-d array for the near sums
+and lists of at most 1,024 views built once per solve, 0.12 MB each; the far
+sums add at most n floats of transforms and 0.25 MB a kernel.  ``_weights``
+holds at most one array more.  The loop peaks at 4.0 MB (Euler) and 5.5 MB
+(PECE) at n = 1e5 and at 32.7 and 41.4 MB at n = 1e6, above a PECE set-up's
+40.1 MB (``tracemalloc``).  A solve runs with numpy's overflow and invalid
 warnings off, since any non-finite state is refused as a blow-up.
 
 At alpha = 1 every weight is constant (db = 1, and for PECE a0 = 1 and
@@ -234,11 +235,15 @@ def solve(ivp: FractionalIVP, n_steps: int, method: SolverMethod | str) -> Traje
         pref_c = h**alpha / math.gamma(alpha + 2.0)
     # leaf[L - k] holds f(u_{lo + k}) for the running leaf's nodes lo..lo + L,
     # so step i of every leaf dots the window leaf[L - i :], newest first,
-    # with the weights of lags 0..i: both are views built once per solve, and
-    # ndarray.dot is np.dot's C routine without the __array_function__ dispatch.
+    # with the weights of lags 0..i: both are views built once per solve.
+    # ndarray.dot is np.dot's C routine without the __array_function__
+    # dispatch, and writing into one 0-d out spares it a new array per call.
+    # The steps store f through a float memoryview of leaf, which costs less
+    # than ndarray item assignment.
     L = min(n, _LEAF)
     leaf = np.full(L + 1, f0)  # leaf[L] = f(u_0); the steps fill the other slots
-    dot, rhs, limit = np.ndarray.dot, rhs_eval, BLOWUP_LIMIT
+    store = memoryview(leaf)
+    dot, rhs, limit, out = np.ndarray.dot, rhs_eval, BLOWUP_LIMIT, np.empty(())
     w_p = [db[: i + 1] for i in range(L)]
     x_p = [leaf[L - i :] for i in range(L)]
     w_c = [c2[: i + 1] for i in range(L)] if pece else w_p
@@ -255,14 +260,14 @@ def solve(ivp: FractionalIVP, n_steps: int, method: SolverMethod | str) -> Traje
         values = []
         keep = values.append
         for slot, hist_p, hist_c, wp, xp, wc, xc in zip(slots, near_p, near_c, w_p, x_p, v_c, x_c):
-            value = x0 + pref_p * (hist_p + float(dot(wp, xp)))
+            value = x0 + pref_p * (hist_p + float(dot(wp, xp, out)))
             if pece:
                 f_pred = rhs(coeffs, value)
-                value = x0 + pref_c * ((hist_c + float(dot(wc, xc))) + f_pred)
+                value = x0 + pref_c * ((hist_c + float(dot(wc, xc, out))) + f_pred)
             if not abs(value) <= limit:
                 raise BlowUpError(lo + L - slot, (lo + L - slot) * h, value)
             keep(value)
-            leaf[slot] = rhs(coeffs, value)
+            store[slot] = rhs(coeffs, value)
         u[lo + 1 : hi + 1] = values
         # The leaf's nodes go to fs, and node hi starts the next leaf.
         fs[lo : hi + 1] = leaf[L + lo - hi :][::-1]

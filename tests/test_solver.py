@@ -2,7 +2,13 @@
 
 import itertools
 import math
+import os
+import platform
+import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -27,6 +33,7 @@ from fracpop import (
     solve,
     to_cubic,
 )
+import fracpop
 from fracpop import solver
 from fracpop.solver import _reference_solution
 
@@ -397,6 +404,65 @@ def test_far_sums_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * 8 * n
+
+
+def harvest_members():
+    """The README harvest models' stable members from x0 = 4, n = 5,000."""
+    models = [(QUICKSTART, 500.0), (Allee(0.5, 10.0, 1.0, 0.2), 25.0)]
+    return np.array([
+        solve(FractionalIVP(alpha, model, 4.0, t_final), 5000, method).values
+        for model, t_final in models
+        for alpha in (0.5, 0.9)
+        for method in SolverMethod
+    ])
+
+
+def run_python(code, **env):
+    """Run ``python -c code`` on this fracpop and this module, with ``env`` set."""
+    src = str(Path(fracpop.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, str(Path(__file__).parent), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, env=dict(os.environ, PYTHONPATH=path, **env)
+    )
+
+
+def openblas_core(process):
+    """The kernel a DYNAMIC_ARCH OpenBLAS said it picked, under OPENBLAS_VERBOSE=2."""
+    found = re.search(r"^Core: (\S+)$", process.stderr.decode(), re.MULTILINE)
+    return found and found.group(1)
+
+
+def test_stable_members_agree_across_blas_kernels():
+    # The alpha < 1 near sums call BLAS ddot, and a DYNAMIC_ARCH OpenBLAS
+    # picks its kernel from the CPU, or from OPENBLAS_CORETYPE, which acts
+    # on one process.  So the stable members are solved again in a child
+    # under OpenBLAS's Nehalem kernel, which every x86-64 CPU that numpy
+    # supports can run.  Measured with this process on SkylakeX: 8 of 8
+    # members changed bits, by at most 3.8e-16 of max|u| (the same under
+    # the Haswell, Sandybridge and Zen kernels).  The bound leaves a factor
+    # of 26, and is 10 times tighter than the 1e-13 the README states
+    # across hosts.  A BLAS that prints no kernel under OPENBLAS_VERBOSE=2
+    # has no runtime choice, and the test skips.
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        pytest.skip(f"OpenBLAS's Nehalem kernel is x86-64 only, not {platform.machine()}")
+    native = openblas_core(run_python("import numpy", OPENBLAS_VERBOSE="2"))
+    if native is None:
+        pytest.skip("numpy's BLAS is not an OpenBLAS built DYNAMIC_ARCH: it has no runtime kernel choice")
+    if native == "Nehalem":
+        pytest.skip("this process already runs OpenBLAS's Nehalem kernel")
+    child = run_python(
+        "import sys, test_solver; sys.stdout.buffer.write(test_solver.harvest_members().tobytes())",
+        OPENBLAS_CORETYPE="Nehalem",
+        OPENBLAS_VERBOSE="2",
+    )
+    assert child.returncode == 0, child.stderr.decode()
+    if openblas_core(child) != "Nehalem":
+        pytest.skip("this OpenBLAS has no Nehalem kernel")
+    want = harvest_members()
+    got = np.frombuffer(child.stdout).reshape(want.shape)
+    assert np.all(np.isfinite(got))
+    spread = np.abs(got - want).max(axis=1) / np.abs(want).max(axis=1)
+    assert spread.max() <= 1e-14, (native, spread)
 
 
 @pytest.mark.parametrize("alpha, x0, t_final", [(0.5, 0.4, 5.0), (1.0, 1.0, 1.0)])
